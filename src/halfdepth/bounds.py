@@ -21,7 +21,6 @@ from itertools import combinations
 from typing import Mapping
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .population import DistributionSpec
 
@@ -172,6 +171,10 @@ def halfplane_subset_count(points) -> int:
     if n > 12:
         raise ValueError(f"subset enumeration is for small n (<= 12), got {n}")
     if n >= 3:
+        # scipy.spatial costs most of the package's import time and only
+        # this oracle needs it.
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(pts)
         except QhullError as exc:

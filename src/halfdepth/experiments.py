@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import BOUND_KINDS, BoundParams, BoundReport, evaluate_bound, improvement_factor
 from .geometry import SphericalCover, build_cover
 from .population import DistributionSpec, affine_reduce, population_depth
-from .sample_depth import Sample, depth_1d, depth_certified, depth_exact_2d, sup_deviation
+from .sample_depth import Sample, depth_1d, depth_certified, depth_exact_2d_many, sup_deviation
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -246,11 +246,14 @@ def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
     errors = []
     widths = []
     slack_margin = None
-    for q, pop in zip(queries, pop_depths):
+    # The planar sweep scores all queries in one call; the certified
+    # depth's calls share the projection the sample keeps for its cover.
+    exact = depth_exact_2d_many(queries, sample) / sample.n if d == 2 else None
+    for j, (q, pop) in enumerate(zip(queries, pop_depths)):
         if d == 1:
             value = depth_1d(q[0], sample).value
         elif d == 2:
-            value = depth_exact_2d(q, sample).value
+            value = float(exact[j])
         else:
             interval = depth_certified(q, sample, cover)
             value = 0.5 * (interval.lower + interval.upper)

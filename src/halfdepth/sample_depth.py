@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -20,9 +20,11 @@ import numpy as np
 from .geometry import SphericalCover
 from .population import DistributionSpec, cdf_projected_many
 
-# Boundary membership is decided up to this relative tolerance; anything
-# within it is treated as lying on the hyperplane (and counted on both
-# sides, per the closed convention).
+# Boundary membership is decided up to TIE_RTOL * R_q, R_q = max_i |x_i - q|
+# the spread of the sample about the query, so that ties do not depend on
+# the units or the offset of the data; anything within it is treated as
+# lying on the hyperplane (and counted on both sides, per the closed
+# convention).
 TIE_RTOL = 1e-12
 
 # Angular nudge used to probe both open sides of a candidate hyperplane
@@ -73,6 +75,7 @@ class Sample:
     """An immutable (n, d) array of sample points."""
 
     points: np.ndarray
+    _keys: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.points, dtype=float)
@@ -92,6 +95,28 @@ class Sample:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
+
+    def _projection_keys(self, cover: SphericalCover) -> np.ndarray:
+        """Search keys for the projections onto the cover's centers, an (m, n) array.
+
+        Row j holds j + 1j * z, with z running over the sorted projections
+        (x - x0).c_j about x0 = points[0]. numpy orders complex numbers by
+        real part and then imaginary part, so the flattened keys are sorted,
+        and one searchsorted of j + 1j * t counts, for every center j at
+        once, the points with (x - x0).c_j <= t. The keys for the most
+        recent cover are kept, so that a trial's queries share one
+        projection and one sort.
+        """
+        kept = self._keys
+        if kept is not None and kept[0] is cover:
+            return kept[1]
+        keys = np.empty((cover.centers.shape[0], self.n), dtype=complex)
+        keys.real = np.arange(keys.shape[0])[:, None]
+        np.matmul(cover.centers, (self.points - self.points[0]).T, out=keys.imag)
+        keys.imag.sort(axis=1)
+        keys.setflags(write=False)
+        object.__setattr__(self, "_keys", (cover, keys))
+        return keys
 
     @classmethod
     def from_csv(cls, path) -> "Sample":
@@ -140,9 +165,10 @@ class Sample:
         return cls(np.asarray(pts, dtype=float))
 
 
-def _boundary_tol(magnitudes) -> np.ndarray:
-    """Relative tie tolerance scaled by the magnitudes involved."""
-    return TIE_RTOL * np.maximum(1.0, magnitudes)
+def _query_radii(queries: np.ndarray, sample: Sample) -> np.ndarray:
+    """R_q = max_i |x_i - q| for each row q of a (Q, d) block of queries."""
+    squares = sum((sample.points[:, k] - queries[:, k, None]) ** 2 for k in range(sample.dim))
+    return np.sqrt(squares.max(axis=1))
 
 
 def depth_1d(q: float, sample: Sample) -> DepthValue:
@@ -151,14 +177,14 @@ def depth_1d(q: float, sample: Sample) -> DepthValue:
         raise ValueError(f"depth_1d requires a 1-dimensional sample, got d={sample.dim}")
     x = sample.points[:, 0]
     q = float(q)
-    tol = _boundary_tol(np.maximum(np.abs(x), abs(q)))
+    tol = TIE_RTOL * float(np.abs(x - q).max())
     left = int(np.count_nonzero(x <= q + tol))
     right = int(np.count_nonzero(x >= q - tol))
     return DepthValue(count=min(left, right), n=sample.n)
 
 
-def depth_exact_2d(q, sample: Sample) -> DepthValue:
-    """Exact planar depth by a rotating sweep over critical angles.
+def depth_exact_2d_many(queries, sample: Sample) -> np.ndarray:
+    """Exact planar depth counts for a (Q, 2) block of queries.
 
     Translate q to the origin and reduce each closed halfplane through q
     to a closed half-circle of polar angles. The count of angles in a
@@ -167,32 +193,57 @@ def depth_exact_2d(q, sample: Sample) -> DepthValue:
     minimum over all halfplanes is attained strictly between consecutive
     critical angles. Evaluating the count at every such midpoint (via
     binary search on the sorted angles) gives the exact minimum in
-    O(n log n). Points coinciding with q lie in every closed halfplane
-    and contribute a constant offset.
+    O(n log n) per query. Points within TIE_RTOL * R_q of q lie in every
+    closed halfplane and contribute a constant offset.
     """
     if sample.dim != 2:
         raise ValueError(f"depth_exact_2d requires a 2-dimensional sample, got d={sample.dim}")
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != 2:
-        raise ValueError(f"query has dimension {q.shape[0]}, expected 2")
-    y = sample.points - q
-    norms = np.linalg.norm(y, axis=1)
-    scale = np.maximum(norms, np.linalg.norm(q))
-    coincident = norms <= _boundary_tol(scale)
-    base = int(np.count_nonzero(coincident))
-    y = y[~coincident]
-    if y.shape[0] == 0:
-        return DepthValue(count=base, n=sample.n)
-    angles = np.sort(np.mod(np.arctan2(y[:, 1], y[:, 0]), TWO_PI))
-    breaks = np.unique(np.concatenate([angles, np.mod(angles - math.pi, TWO_PI)]))
-    gaps = np.diff(breaks, append=breaks[0] + TWO_PI)
-    starts = np.mod(breaks + 0.5 * gaps, TWO_PI)
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != 2:
+        raise ValueError(f"queries must be a (Q, 2) array, got shape {queries.shape}")
+    y0 = sample.points[:, 0] - queries[:, :1]
+    y1 = sample.points[:, 1] - queries[:, 1:]
+    norms = np.sqrt(y0 * y0 + y1 * y1)
+    coincident = norms <= TIE_RTOL * norms.max(axis=1, keepdims=True)
+    live = sample.n - np.count_nonzero(coincident, axis=1)
+    # Row r holds query r's live angles, sorted, then its coincident points
+    # parked at +inf. Angles are reduced to [0, 2 pi] by adding or
+    # subtracting 2 pi once, which gives exactly what np.mod gives on these
+    # ranges, in less time.
+    angles = np.arctan2(y1, y0)
+    angles = np.where(coincident, np.inf, np.where(angles < 0, angles + TWO_PI, angles))
+    angles.sort(axis=1)
+    antipodes = angles - math.pi
+    breaks = np.concatenate([angles, np.where(antipodes < 0, antipodes + TWO_PI, antipodes)], axis=1)
+    breaks.sort(axis=1)
+    # The arc after each distinct break runs to the next distinct one; the
+    # last live break wraps around to the first. Of a run of equal breaks
+    # only the last is evaluated, which is what np.unique would leave.
+    rows = np.arange(queries.shape[0])
+    last = 2 * live - 1
+    following = np.roll(breaks, -1, axis=1)
+    following[rows, last] = breaks[:, 0] + TWO_PI
+    column = np.arange(breaks.shape[1])
+    evaluated = (column <= last[:, None]) & ((following != breaks) | (column == last[:, None]))
+    with np.errstate(invalid="ignore"):
+        starts = breaks + 0.5 * (following - breaks)
+    starts = np.where(starts >= TWO_PI, starts - TWO_PI, starts)
     ends = starts + math.pi
     wrap = ends > TWO_PI
-    lo = np.searchsorted(angles, starts, side="left")
-    hi = np.searchsorted(angles, np.where(wrap, ends - TWO_PI, ends), side="right")
-    counts = np.where(wrap, (angles.size - lo) + hi, hi - lo)
-    return DepthValue(count=base + int(counts.min()), n=sample.n)
+    ends = np.where(wrap, ends - TWO_PI, ends)
+    lo = np.array([np.searchsorted(a, t, side="left") for a, t in zip(angles, starts)], dtype=np.intp)
+    hi = np.array([np.searchsorted(a, t, side="right") for a, t in zip(angles, ends)], dtype=np.intp)
+    lo, hi = lo.reshape(breaks.shape), hi.reshape(breaks.shape)
+    counts = np.where(wrap, (live[:, None] - lo) + hi, hi - lo)
+    least = np.where(evaluated, counts, sample.n).min(axis=1)
+    return (sample.n - live) + np.where(live > 0, least, 0)
+
+
+def depth_exact_2d(q, sample: Sample) -> DepthValue:
+    """Exact planar depth by a rotating sweep over critical angles
+    (Rousseeuw & Ruts 1996); see depth_exact_2d_many."""
+    count = depth_exact_2d_many(np.reshape(q, (1, -1)), sample)[0]
+    return DepthValue(count=int(count), n=sample.n)
 
 
 def _brute_candidates(y: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -266,27 +317,58 @@ def depth_brute(q, sample: Sample) -> DepthValue:
         return depth_1d(q[0], sample)
     y = sample.points - q
     norms = np.linalg.norm(y, axis=1)
-    scale = np.maximum(norms, np.linalg.norm(q))
-    on_query = norms <= _boundary_tol(scale)
+    tol = TIE_RTOL * norms.max()
+    on_query = norms <= tol
     if bool(on_query.all()):
         return DepthValue(count=sample.n, n=sample.n)
     normals = _brute_candidates(y, np.where(on_query, 0.0, norms))
     proj = y @ normals.T
-    tol = _boundary_tol(norms)[:, None]
     below = np.count_nonzero(proj <= tol, axis=0)
     above = np.count_nonzero(proj >= -tol, axis=0)
     best = int(min(below.min(), above.min()))
     return DepthValue(count=best, n=sample.n)
 
 
-def _cover_counts(y: np.ndarray, cover: SphericalCover, threshold: float, closed_tol: bool) -> int:
-    proj = y @ cover.centers.T
-    if closed_tol:
-        tol = _boundary_tol(np.abs(proj))
-        counts = np.count_nonzero(proj <= threshold + tol, axis=0)
-    else:
-        counts = np.count_nonzero(proj <= threshold, axis=0)
-    return int(counts.min())
+def depth_certified_many(
+    queries, sample: Sample, cover: SphericalCover
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified depth counts for a (Q, d) block of queries from one cover pass.
+
+    Returns (lower, upper, radius), one entry per query. With q at the
+    origin, projections onto directions within psi of a cover center
+    differ by at most R*psi, where R is the largest sample distance from
+    q. The closed count at q.c over the centers upper-bounds the exact
+    depth; the count at q.c - R*psi lower-bounds it. Every count is a
+    binary search of a threshold into the sample's sorted projection onto
+    a center, so a sample costs O(m n log n) once plus O(m log n) per query.
+    """
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != sample.dim or cover.d != sample.dim:
+        raise ValueError(
+            f"dimension mismatch: sample d={sample.dim}, queries {queries.shape}, cover {cover.d}"
+        )
+    d, m = sample.dim, cover.centers.shape[0]
+    radius = _query_radii(queries, sample)
+    # Projections are taken about x0 = points[0]. (x - x0).c and (q - x0).c
+    # are rounded separately, so their difference is off from the exact
+    # (x - q).c by at most about (d + 1) u (|x - x0| + |q - x0|), u = eps / 2.
+    # Rounding R and the thresholds adds at most (2 + (d + 5) psi) u
+    # (|x - x0| + |q - x0|), and psi < pi / 2. With |x - x0| <= R + |q - x0|,
+    # slack = 4 (d + 4) u (R + 2 |q - x0|) keeps each lower count below the
+    # exact count at -R psi and each point on a boundary inside the upper
+    # count, in any dimension, and scales with the spread of the data, not
+    # with its offset.
+    offset = queries - sample.points[0]
+    slack = 2.0 * (d + 4) * np.finfo(float).eps * (radius + 2.0 * np.linalg.norm(offset, axis=1))
+    at = offset @ cover.centers.T
+    thresholds = np.empty((len(queries), 2, m), dtype=complex)
+    thresholds.real = np.arange(m)
+    thresholds.imag[:, 0] = at - (radius * cover.psi + slack)[:, None]
+    thresholds.imag[:, 1] = at + (TIE_RTOL * radius + slack)[:, None]
+    keys = sample._projection_keys(cover)
+    counts = np.searchsorted(keys.reshape(-1), thresholds, side="right") - sample.n * np.arange(m)
+    lower, upper = counts.min(axis=2).T
+    return lower, upper, radius
 
 
 def depth_approx(q, sample: Sample, cover: SphericalCover) -> DepthValue:
@@ -294,38 +376,20 @@ def depth_approx(q, sample: Sample, cover: SphericalCover) -> DepthValue:
 
     Always an upper bound for the exact depth (the minimum over all
     directions); exact whenever the cover happens to contain a minimizing
-    direction.
+    direction. It is the upper end of depth_certified.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != sample.dim or cover.d != sample.dim:
-        raise ValueError(
-            f"dimension mismatch: sample d={sample.dim}, query {q.shape[0]}, cover {cover.d}"
-        )
-    y = sample.points - q
-    count = _cover_counts(y, cover, 0.0, closed_tol=True)
-    return DepthValue(count=count, n=sample.n)
+    _, upper, _ = depth_certified_many(np.reshape(q, (1, -1)), sample, cover)
+    return DepthValue(count=int(upper[0]), n=sample.n)
 
 
 def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
-    """Two-sided enclosure of the exact depth from a single cover pass.
-
-    With q at the origin, projections onto directions within psi of a
-    cover center differ by at most R*psi, where R is the largest sample
-    distance from q. Counting at threshold 0 over the centers upper-bounds
-    the exact depth; counting at threshold -R*psi lower-bounds it.
-    """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != sample.dim or cover.d != sample.dim:
-        raise ValueError(
-            f"dimension mismatch: sample d={sample.dim}, query {q.shape[0]}, cover {cover.d}"
-        )
-    y = sample.points - q
-    radius = float(np.linalg.norm(y, axis=1).max())
-    upper = _cover_counts(y, cover, 0.0, closed_tol=True)
-    # Plain (untoleranced) comparison keeps the lower bound conservative.
-    lower = _cover_counts(y, cover, -radius * cover.psi, closed_tol=False)
+    """Two-sided enclosure of the exact depth from a single cover pass;
+    see depth_certified_many."""
+    lower, upper, radius = depth_certified_many(np.reshape(q, (1, -1)), sample, cover)
     n = sample.n
-    return DepthInterval(lower=lower / n, upper=upper / n, psi=cover.psi, radius=radius)
+    return DepthInterval(
+        lower=int(lower[0]) / n, upper=int(upper[0]) / n, psi=cover.psi, radius=float(radius[0])
+    )
 
 
 def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -340,17 +404,20 @@ def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
     cdf_values = np.asarray(cdf_values, dtype=float).reshape(-1)
     if values.shape != cdf_values.shape or values.size == 0:
         raise ValueError("values and cdf_values must be equal-length nonempty arrays")
-    order = np.argsort(values)
-    f = cdf_values[order]
-    n = values.size
-    i = np.arange(1, n + 1)
-    return float(np.maximum(f - (i - 1) / n, i / n - f).max())
+    return float(_ks_per_column(cdf_values[np.argsort(values)][:, None])[0])
 
 
-def _ks_per_column(z_sorted: np.ndarray, f: np.ndarray) -> np.ndarray:
-    n = z_sorted.shape[0]
+def _ks_per_column(f: np.ndarray) -> np.ndarray:
+    """KS statistic of each column of f, the CDF at the sorted sample (n, m).
+
+    f is overwritten. Working in place keeps the large temporaries to
+    one; each fresh one costs page faults on every call.
+    """
+    n = f.shape[0]
     i = np.arange(1, n + 1, dtype=float)[:, None]
-    return np.maximum(f - (i - 1.0) / n, i / n - f).max(axis=0)
+    below = f - (i - 1.0) / n
+    above = np.subtract(i / n, f, out=f)
+    return np.maximum(below, above, out=below).max(axis=0)
 
 
 def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover | None) -> float:
@@ -368,11 +435,11 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
         axis = np.array([[1.0]])
         z = np.sort(sample.points, axis=0)
         f = cdf_projected_many(dist, axis, z)
-        return float(_ks_per_column(z, f)[0])
+        return float(_ks_per_column(f)[0])
     if cover is None:
         raise ValueError(f"a cover is required for d={sample.dim}")
     if cover.d != sample.dim:
         raise ValueError(f"cover has dimension {cover.d}, sample has {sample.dim}")
     z = np.sort(sample.points @ cover.centers.T, axis=0)
     f = cdf_projected_many(dist, cover.centers, z)
-    return float(_ks_per_column(z, f).max())
+    return float(_ks_per_column(f).max())

@@ -400,3 +400,14 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # scipy.spatial costs most of the import time, and only the subset-count
+    # oracle needs it, so it is imported there.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, halfdepth.cli; print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

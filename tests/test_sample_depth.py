@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from halfdepth.geometry import build_cover
+from halfdepth.geometry import SphericalCover, build_cover
 from halfdepth.population import standard_normal
 from halfdepth.sample_depth import (
     DepthInterval,
@@ -18,7 +18,9 @@ from halfdepth.sample_depth import (
     depth_approx,
     depth_brute,
     depth_certified,
+    depth_certified_many,
     depth_exact_2d,
+    depth_exact_2d_many,
     ks_statistic,
     sup_deviation,
 )
@@ -333,15 +335,91 @@ def test_depth_approx_upper_bounds_exact():
 
 
 def test_depth_certified_3d_contains_brute():
+    # On the integer grid, duplicated points and queries on sample points
+    # put projections exactly on the thresholds.
     rng = np.random.default_rng(23)
     cover = build_cover(3, 0.1, rng=np.random.default_rng(1))
-    for _ in range(15):
-        pts = rng.normal(size=(12, 3))
+    for grid in (False, True):
+        for _ in range(15):
+            if grid:
+                pts = rng.integers(-1, 2, size=(10, 3)).astype(float)
+                qs = np.vstack([pts[:3], rng.integers(-1, 2, size=(3, 3))])
+            else:
+                pts = rng.normal(size=(12, 3))
+                qs = rng.normal(size=(3, 3)) * 0.5
+            s = Sample(pts)
+            lower, upper, _ = depth_certified_many(qs, s, cover)
+            for q, lo, up in zip(qs, lower, upper):
+                assert lo <= depth_brute(q, s).count <= up
+
+
+def _grid_or_normal(rng, n, d, grid):
+    if grid:
+        pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+        return pts, np.vstack([pts[:4], rng.integers(-4, 5, size=(4, d)) / 2.0])
+    return rng.normal(size=(n, d)), rng.normal(size=(8, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("grid", [False, True], ids=["normal", "integer-grid"])
+def test_batched_depth_equals_single_query(d, grid):
+    rng = np.random.default_rng(100 * d + grid)
+    cover = build_cover(d, 0.2, rng=np.random.default_rng(3))
+    for _ in range(10):
+        pts, qs = _grid_or_normal(rng, int(rng.integers(5, 40)), d, grid)
         s = Sample(pts)
-        q = rng.normal(size=3) * 0.5
-        exact = depth_brute(q, s).value
+        if d == 2:
+            assert depth_exact_2d_many(qs, s).tolist() == [depth_exact_2d(q, s).count for q in qs]
+        lower, upper, radius = depth_certified_many(qs, s, cover)
+        for j, q in enumerate(qs):
+            iv = depth_certified(q, s, cover)
+            assert (iv.lower, iv.upper, iv.radius) == (lower[j] / s.n, upper[j] / s.n, radius[j])
+            assert depth_approx(q, s, cover).count == upper[j]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_depth_counts_invariant_under_exact_scale_and_shift(d):
+    # Scaling by 2^-40 and shifting a dyadic grid by 2^20 are both exact in
+    # floating point, so no count may change: ties are relative to the
+    # sample's spread about the query, not to 1 or to the offset.
+    rng = np.random.default_rng(77 + d)
+    pts = rng.integers(-8, 9, size=(30, d)) / 4.0
+    qs = np.vstack([pts[:6], rng.integers(-16, 17, size=(6, d)) / 8.0])
+    cover = build_cover(d, 0.2, rng=np.random.default_rng(3)) if d >= 2 else None
+
+    def counts(scale, shift):
+        s = Sample(pts * scale + shift)
+        out = []
+        for q in qs * scale + shift:
+            if d == 1:
+                out.append(depth_1d(q[0], s).count)
+                continue
+            if d == 2:
+                out.append(depth_exact_2d(q, s).count)
+            iv = depth_certified(q, s, cover)
+            out += [iv.lower, iv.upper, depth_approx(q, s, cover).count]
+        return out
+
+    base = counts(1.0, 0.0)
+    assert counts(2.0**-40, 0.0) == base
+    assert counts(1.0, 2.0**20) == base
+
+
+def test_certified_counts_keep_fine_spread_far_from_origin():
+    # Nine points lie 2^-10 above the line through q, five well below it.
+    # Along the center (0, 1) the closed count is 5, the least of the four
+    # centers. Shifting everything by 2^40 is exact; if x.c and q.c were
+    # projected about the origin, their rounding slack (about 1e-2 here)
+    # would pull the nine points into that count.
+    pts = [(k / 4, 2.0**-10) for k in range(-4, 5)] + [(k / 4, -1.0) for k in range(-2, 3)]
+    cover = SphericalCover(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]), 0.78)
+    for shift in (0.0, 2.0**40):
+        s = Sample(np.array(pts) + shift)
+        q = np.array([shift, shift])
         iv = depth_certified(q, s, cover)
-        assert iv.lower - 1e-12 <= exact <= iv.upper + 1e-12
+        assert (iv.lower * s.n, iv.upper * s.n) == (0, 5)
+        assert depth_approx(q, s, cover).count == 5
+        assert depth_exact_2d(q, s).count == 5
 
 
 def test_depth_cover_dimension_mismatch():
