@@ -22,8 +22,8 @@ import numpy as np
 
 from .bounds import BOUND_KINDS, BoundParams, BoundReport, evaluate_bound, improvement_factor
 from .geometry import SphericalCover, build_cover
-from .population import DistributionSpec, affine_reduce, population_depth
-from .sample_depth import Sample, depth_1d, depth_certified, depth_exact_2d_many, sup_deviation
+from .population import DistributionSpec, population_depth
+from .sample_depth import Sample, _query_radii, depth_1d, depth_certified, depth_exact_2d_many, sup_deviation
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -60,8 +60,7 @@ def draw_sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Sam
     z = rng.standard_normal((n, dist.d))
     if dist.family == "standard_normal":
         return Sample(z)
-    reduction = affine_reduce(dist.sigma_array, dist.mu_array)
-    return Sample(reduction.from_reduced(z))
+    return Sample(dist.reduction.from_reduced(z))
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,7 @@ def auto_queries(dist: DistributionSpec) -> np.ndarray:
     reduced = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     if dist.family == "standard_normal":
         return reduced
-    reduction = affine_reduce(dist.sigma_array, dist.mu_array)
-    return reduction.from_reduced(reduced)
+    return dist.reduction.from_reduced(reduced)
 
 
 def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
@@ -263,12 +261,8 @@ def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
         # The sample depth error at any query is at most the true sup
         # deviation, which exceeds the cover-restricted estimate by at
         # most (ltheta + lpi * R_q) * psi; record the worst margin.
-        margins = []
-        for q, err in zip(queries, errors):
-            r_q = float(np.linalg.norm(sample.points - np.asarray(q), axis=1).max())
-            allowance = sup + (cfg.dist.ltheta + cfg.dist.lpi * r_q) * cover.psi
-            margins.append(err - allowance)
-        slack_margin = max(margins)
+        allowance = sup + (cfg.dist.ltheta + cfg.dist.lpi * _query_radii(queries, sample)) * cover.psi
+        slack_margin = float((np.asarray(errors) - allowance).max())
     return TrialResult(
         index=index,
         sup_deviation=float(sup),

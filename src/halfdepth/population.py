@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .geometry import Direction
 
@@ -25,7 +25,13 @@ _SYMMETRY_RTOL = 1e-10
 
 
 def _phi(x):
-    """Standard normal CDF via the complementary error function (ndtr)."""
+    """Standard normal CDF via the complementary error function (ndtr).
+
+    scipy.special is imported here, its only user, so that the bounds, the
+    cover and the sample-depth methods start without scipy.
+    """
+    from scipy.special import ndtr
+
     return ndtr(x)
 
 
@@ -72,6 +78,11 @@ class DistributionSpec:
     @property
     def sigma_array(self) -> np.ndarray:
         return np.asarray(self.sigma, dtype=float)
+
+    @cached_property
+    def reduction(self) -> "AffineReduction":
+        """The whitening map of this law, computed on first use and kept."""
+        return affine_reduce(self.sigma_array, self.mu_array)
 
     def to_dict(self) -> dict:
         return {
@@ -271,9 +282,7 @@ def population_depth(dist: DistributionSpec, q) -> float:
         raise ValueError(f"query has dimension {q.shape[0]}, distribution has {dist.d}")
     if dist.family == "standard_normal":
         return float(_phi(-np.linalg.norm(q)))
-    reduction = affine_reduce(dist.sigma_array, dist.mu_array)
-    y = reduction.to_reduced(q)
-    return float(_phi(-np.linalg.norm(y)))
+    return float(_phi(-np.linalg.norm(dist.reduction.to_reduced(q))))
 
 
 def tail_probability_bound(dist: DistributionSpec, radius: float) -> float:

@@ -411,3 +411,34 @@ def test_cli_import_leaves_scipy_spatial_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SCIPY_FREE_BOUNDS = """
+import sys
+import halfdepth.cli
+assert 'scipy' not in sys.modules, 'import'
+from halfdepth.bounds import BOUND_KINDS
+from halfdepth.experiments import run_bound_sweep
+for d in (2, 3):
+    for sharp in ((False, True) if d == 2 else (False,)):
+        rows = run_bound_sweep(BOUND_KINDS, [50, 5000], [0.05, 0.3], d, r=3.0, delta=0.01,
+                               sharp2d=sharp, exact_m=sharp)
+        assert len(rows) == 4 * len(BOUND_KINDS)
+assert 'scipy' not in sys.modules, 'sweep'
+from halfdepth.population import elliptical_normal, population_depth, standard_normal
+from scipy.special import ndtr
+assert population_depth(standard_normal(2), [0.6, -0.8]) == ndtr(-1.0)
+dist = elliptical_normal([1.0, -1.0], [[4.0, 0.0], [0.0, 1.0]])
+assert population_depth(dist, [3.0, -1.0]) == ndtr(-1.0)
+print('ok')
+"""
+
+
+def test_bounds_and_cli_import_leave_scipy_out():
+    # Only the normal CDF and the subset-count oracle need scipy; the bound
+    # sweep over every kind must not load it.
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_BOUNDS], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

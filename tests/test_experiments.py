@@ -237,6 +237,15 @@ def test_parallel_trials_bit_identical():
     assert serial.exceedance == threaded.exceedance
 
 
+def test_parallel_certified_trials_bit_identical():
+    base = dict(dist=standard_normal(3), n=40, eps=0.25, trials=12, seed=34, psi=0.3)
+    serial = run_deviation_experiment(ExperimentConfig(jobs=1, **base))
+    threaded = run_deviation_experiment(ExperimentConfig(jobs=4, **base))
+    assert results_csv(serial) == results_csv(threaded)
+    assert [t.interval_widths for t in serial.trials] == [t.interval_widths for t in threaded.trials]
+    assert all(t.interval_widths for t in serial.trials)
+
+
 def test_validity_failure_marks_result(monkeypatch):
     # force an enforced bound to report an impossible exceedance of zero
     real = expmod.evaluate_bound

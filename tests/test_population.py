@@ -98,6 +98,19 @@ def test_affine_reduce_is_deterministic():
     np.testing.assert_array_equal(a.scales, b.scales)
 
 
+def test_distribution_keeps_its_reduction():
+    sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+    dist = elliptical_normal([1.0, -0.5], sigma)
+    red = dist.reduction
+    assert dist.reduction is red
+    fresh = affine_reduce(sigma, [1.0, -0.5])
+    for name in ("rotation", "scales", "mu"):
+        np.testing.assert_array_equal(getattr(red, name), getattr(fresh, name))
+    # the kept map is read-only, so no caller can change it for the others
+    with pytest.raises(ValueError):
+        red.scales[0] = 1.0
+
+
 def test_affine_reduce_rejects_singular():
     with pytest.raises(ValueError):
         affine_reduce(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
