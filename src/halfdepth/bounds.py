@@ -16,7 +16,7 @@ in log space, so sweeps over extreme parameters stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
@@ -327,6 +327,67 @@ def _cover_log_coef(params: BoundParams, psi_eff: float, sharp2d: bool) -> tuple
     return math.log(2.0) + log_count, _exp_clamped(log_count)
 
 
+def _covering_route(
+    params: BoundParams, r: float, delta: float, sharp2d: bool, balanced: bool, relaxed: bool
+) -> tuple[float, tuple[Precondition, ...], dict]:
+    """(value, preconditions, intermediates) of the covering-route bound at
+    tail radius r and margin delta; see bound_free_params for its form.
+
+    balanced: r is the balanced radius, where the tail exponential equals
+    the per-direction one, so both penalties share one exponent. relaxed
+    (balanced, delta = 1/n): both penalties take the relaxed exponent
+    4 - 2 n eps^2, which is at least -2 n eps^2 / (1+1/n)^2 for eps <= 1.
+    The value at the strict exponent, from the same log-coefficients, is
+    kept as strict_delta_value, so the relaxed value never exceeds it.
+    """
+    n, eps, d = params.n, params.eps, params.d
+    psi_eff = eps * delta / ((1.0 + delta) * (params.ltheta + params.lpi * r))
+    limit = math.acos(d ** -0.5)
+    pre = (
+        Precondition("cover_radius_in_range", psi_eff < limit, psi_eff, limit),
+        Precondition("balanced_radius_above_one" if balanced else "tail_radius_above_one", r > 1.0, 1.0, r),
+    )
+    log_cover_coef, count = _cover_log_coef(params, psi_eff, sharp2d)
+    if sharp2d:
+        log_tail_coef = math.log(n)
+    else:
+        log_tail_coef = math.log(params.c1) + math.log(n) + (3 * d - 5) * math.log(r)
+    exponent = -2.0 * n * eps * eps / (1.0 + delta) ** 2
+    tail_exponent = exponent if balanced else -params.lam * r * r / 2.0
+    inter = {"psi_eff": psi_eff, "cover_count": count, "C2": params.c2, "delta": delta}
+    if relaxed:
+        inter["strict_delta_value"] = (
+            1.0 - _exp_clamped(log_cover_coef + exponent) - _exp_clamped(log_tail_coef + exponent)
+        )
+        exponent = tail_exponent = 4.0 - 2.0 * n * eps * eps
+    pen_cover = _exp_clamped(log_cover_coef + exponent)
+    pen_tail = _exp_clamped(log_tail_coef + tail_exponent)
+    value = 1.0 - pen_cover - pen_tail
+    inter["cover_penalty"] = pen_cover
+    inter["tail_penalty"] = pen_tail
+    if balanced:
+        inter["exponent"] = exponent
+        inter["balanced_radius"] = r
+    else:
+        inter["cover_exponent"] = exponent
+        inter["tail_exponent"] = tail_exponent
+        inter["R"] = r
+    return value, pre, inter
+
+
+def _probability_lower_report(kind: str, route: tuple) -> BoundReport:
+    value, pre, inter = route
+    return BoundReport(
+        kind=kind,
+        bound_type="probability_lower",
+        value=value,
+        vacuous=value <= 0.0,
+        applicable=all(p.satisfied for p in pre),
+        preconditions=pre,
+        intermediates=inter,
+    )
+
+
 def bound_free_params(params: BoundParams, sharp2d: bool = False) -> BoundReport:
     """Probability lower bound with both the tail radius R and margin delta free.
 
@@ -339,42 +400,8 @@ def bound_free_params(params: BoundParams, sharp2d: bool = False) -> BoundReport
     with the exact planar Gaussian tail n * exp(-lam R^2 / 2).
     """
     _require(params, "r", "delta")
-    n, eps, d = params.n, params.eps, params.d
-    r, delta = params.r, params.delta
-    psi_eff = eps * delta / ((1.0 + delta) * (params.ltheta + params.lpi * r))
-    limit = math.acos(d ** -0.5)
-    pre = (
-        Precondition("cover_radius_in_range", psi_eff < limit, psi_eff, limit),
-        Precondition("tail_radius_above_one", r > 1.0, 1.0, r),
-    )
-    exponent_cover = -2.0 * n * eps * eps / (1.0 + delta) ** 2
-    log_cover_coef, count = _cover_log_coef(params, psi_eff, sharp2d)
-    pen_cover = _exp_clamped(log_cover_coef + exponent_cover)
-    exponent_tail = -params.lam * r * r / 2.0
-    if sharp2d:
-        log_tail_coef = math.log(n)
-    else:
-        log_tail_coef = math.log(params.c1) + math.log(n) + (3 * d - 5) * math.log(r)
-    pen_tail = _exp_clamped(log_tail_coef + exponent_tail)
-    value = 1.0 - pen_cover - pen_tail
-    return BoundReport(
-        kind="prop-r-delta",
-        bound_type="probability_lower",
-        value=value,
-        vacuous=value <= 0.0,
-        applicable=all(p.satisfied for p in pre),
-        preconditions=pre,
-        intermediates={
-            "psi_eff": psi_eff,
-            "cover_count": count,
-            "cover_penalty": pen_cover,
-            "tail_penalty": pen_tail,
-            "cover_exponent": exponent_cover,
-            "tail_exponent": exponent_tail,
-            "C2": params.c2,
-            "R": r,
-            "delta": delta,
-        },
+    return _probability_lower_report(
+        "prop-r-delta", _covering_route(params, params.r, params.delta, sharp2d, False, False)
     )
 
 
@@ -386,136 +413,41 @@ def _balanced_radius(params: BoundParams, delta: float) -> float:
 def bound_balanced_tail(params: BoundParams, sharp2d: bool = False) -> BoundReport:
     """Probability lower bound with R chosen to equate both exponentials.
 
-    Substituting R = 2 eps sqrt(n) / (sqrt(lam) (1+delta)) merges the two
-    penalties under exp(-2 n eps^2 / (1+delta)^2):
+    This is bound_free_params at R = 2 eps sqrt(n) / (sqrt(lam) (1+delta)),
+    where both penalties fall under exp(-2 n eps^2 / (1+delta)^2):
 
     value = 1 - (2 * count + c1 * (2 eps / (sqrt(lam)(1+delta)))^(3d-5)
                  * n^(3(d-1)/2)) * exp(-2 n eps^2 / (1+delta)^2)
-
-    This is evaluated from its own algebraic form and agrees with
-    bound_free_params at the substituted R to floating-point accuracy.
     """
     _require(params, "delta")
-    n, eps, d, delta = params.n, params.eps, params.d, params.delta
-    lam_root = math.sqrt(params.lam)
-    r_sub = _balanced_radius(params, delta)
-    psi_eff = eps * delta / ((1.0 + delta) * (params.ltheta + params.lpi * r_sub))
-    limit = math.acos(d ** -0.5)
-    pre = (
-        Precondition("cover_radius_in_range", psi_eff < limit, psi_eff, limit),
-        Precondition("balanced_radius_above_one", 2.0 * eps * math.sqrt(n) > lam_root * (1.0 + delta),
-                     lam_root * (1.0 + delta), 2.0 * eps * math.sqrt(n)),
+    delta = params.delta
+    return _probability_lower_report(
+        "cor-delta", _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, False)
     )
-    exponent = -2.0 * n * eps * eps / (1.0 + delta) ** 2
-    if sharp2d:
-        log_cover_coef, count = _cover_log_coef(params, psi_eff, True)
-        log_tail_coef = math.log(n)
-    else:
-        log_cover_coef = (
-            math.log(2.0)
-            + math.log(params.c2)
-            + (d - 1)
-            * math.log((params.ltheta * lam_root * (1.0 + delta) + 2.0 * params.lpi * math.sqrt(n) * eps)
-                       * math.sqrt(d) / (eps * delta * lam_root))
-            + 1.5 * math.log(d - 1)
-            + math.log(math.log(d))
-        )
-        count = _exp_clamped(log_cover_coef - math.log(2.0))
-        log_tail_coef = (
-            math.log(params.c1)
-            + (3 * d - 5) * (math.log(2.0 * eps) - math.log(lam_root * (1.0 + delta)))
-            + 1.5 * (d - 1) * math.log(n)
-        )
-    pen_cover = _exp_clamped(log_cover_coef + exponent)
-    pen_tail = _exp_clamped(log_tail_coef + exponent)
-    value = 1.0 - pen_cover - pen_tail
-    return BoundReport(
-        kind="cor-delta",
-        bound_type="probability_lower",
-        value=value,
-        vacuous=value <= 0.0,
-        applicable=all(p.satisfied for p in pre),
-        preconditions=pre,
-        intermediates={
-            "psi_eff": psi_eff,
-            "cover_count": count,
-            "cover_penalty": pen_cover,
-            "tail_penalty": pen_tail,
-            "exponent": exponent,
-            "C2": params.c2,
-            "balanced_radius": r_sub,
-            "delta": delta,
-        },
-    )
+
+
+def _theorem_route(params: BoundParams, sharp2d: bool) -> tuple:
+    delta = 1.0 / params.n
+    return _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, True)
 
 
 def bound_parameter_free(params: BoundParams, sharp2d: bool = False) -> BoundReport:
     """Fully explicit probability lower bound, margin fixed at delta = 1/n.
+
+    This is bound_balanced_tail at delta = 1/n with the relaxed exponential
+    e^4 exp(-2 n eps^2), which upper-bounds exp(-2 n eps^2 (1+1/n)^-2) for
+    eps <= 1:
 
     value = 1 - (2 c2 ((ltheta sqrt(lam) (n+1) + 2 lpi n^(3/2) eps) sqrt(d)
                  / (eps sqrt(lam)))^(d-1) (d-1)^(3/2) ln d
                + c1 (2 eps n / (sqrt(lam)(n+1)))^(3d-5) n^(3(d-1)/2))
               * e^4 * exp(-2 n eps^2)
 
-    The relaxed exponential e^4 exp(-2 n eps^2) upper-bounds
-    exp(-2 n eps^2 (1+1/n)^-2) for eps <= 1, so this value never exceeds
-    the delta = 1/n balanced-tail value (both are reported).
+    Both penalties share their coefficients with the delta = 1/n balanced
+    value, reported as strict_delta_value, so this value never exceeds it.
     """
     _require(params)
-    n, eps, d = params.n, params.eps, params.d
-    lam_root = math.sqrt(params.lam)
-    delta = 1.0 / n
-    r_th = _balanced_radius(params, delta)
-    psi_eff = eps / ((n + 1.0) * (params.ltheta + params.lpi * r_th))
-    limit = math.acos(d ** -0.5)
-    pre = (
-        Precondition("cover_radius_in_range", psi_eff < limit, psi_eff, limit),
-        Precondition("balanced_radius_above_one", 2.0 * eps * n ** 1.5 > lam_root * (n + 1.0),
-                     lam_root * (n + 1.0), 2.0 * eps * n ** 1.5),
-    )
-    exponent = 4.0 - 2.0 * n * eps * eps
-    if sharp2d:
-        log_cover_coef, count = _cover_log_coef(params, psi_eff, True)
-        log_tail_coef = math.log(n)
-    else:
-        log_cover_coef = (
-            math.log(2.0)
-            + math.log(params.c2)
-            + (d - 1)
-            * math.log((params.ltheta * lam_root * (n + 1.0) + 2.0 * params.lpi * n ** 1.5 * eps)
-                       * math.sqrt(d) / (eps * lam_root))
-            + 1.5 * math.log(d - 1)
-            + math.log(math.log(d))
-        )
-        count = _exp_clamped(log_cover_coef - math.log(2.0))
-        log_tail_coef = (
-            math.log(params.c1)
-            + (3 * d - 5) * (math.log(2.0 * eps * n) - math.log(lam_root * (n + 1.0)))
-            + 1.5 * (d - 1) * math.log(n)
-        )
-    pen_cover = _exp_clamped(log_cover_coef + exponent)
-    pen_tail = _exp_clamped(log_tail_coef + exponent)
-    value = 1.0 - pen_cover - pen_tail
-    strict = bound_balanced_tail(replace(params, delta=delta), sharp2d=sharp2d)
-    return BoundReport(
-        kind="theorem",
-        bound_type="probability_lower",
-        value=value,
-        vacuous=value <= 0.0,
-        applicable=all(p.satisfied for p in pre),
-        preconditions=pre,
-        intermediates={
-            "psi_eff": psi_eff,
-            "cover_count": count,
-            "cover_penalty": pen_cover,
-            "tail_penalty": pen_tail,
-            "exponent": exponent,
-            "C2": params.c2,
-            "balanced_radius": r_th,
-            "delta": delta,
-            "strict_delta_value": strict.value,
-        },
-    )
+    return _probability_lower_report("theorem", _theorem_route(params, sharp2d))
 
 
 def bound_bivariate_normal(n: int, eps: float) -> float:
@@ -523,15 +455,11 @@ def bound_bivariate_normal(n: int, eps: float) -> float:
 
     1 - (2 sqrt(2 pi) n^(3/2) + n + 2) e^4 exp(-2 n eps^2).
 
-    This is the parameter-free bound specialized with the exact circle
+    This is the sharp-2d parameter-free bound at BoundParams(n, eps, d=2),
+    whose defaults are the standard normal's constants: the exact circle
     covering count and the exact planar Gaussian tail.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    coef = 2.0 * _SQRT_2PI * float(n) ** 1.5 + n + 2.0
-    return 1.0 - _exp_clamped(math.log(coef) + 4.0 - 2.0 * n * eps * eps)
+    return _theorem_route(BoundParams(n=n, eps=eps, d=2), sharp2d=True)[0]
 
 
 def improvement_factor(n: int, d: int) -> float:
@@ -548,18 +476,17 @@ def improvement_factor(n: int, d: int) -> float:
 
 
 def _bivariate_report(params: BoundParams) -> BoundReport:
-    pre = (Precondition("planar", params.d == 2, float(params.d), 2.0 + 1e-9),)
-    value = bound_bivariate_normal(params.n, params.eps)
+    value, _, inter = _theorem_route(BoundParams(n=params.n, eps=params.eps, d=2), sharp2d=True)
     return BoundReport(
         kind="bivariate",
         bound_type="probability_lower",
         value=value,
         vacuous=value <= 0.0,
         applicable=params.d == 2,
-        preconditions=pre,
+        preconditions=(Precondition("planar", params.d == 2, float(abs(params.d - 2)), 0.5),),
         intermediates={
-            "coefficient": 2.0 * _SQRT_2PI * float(params.n) ** 1.5 + params.n + 2.0,
-            "exponent": 4.0 - 2.0 * params.n * params.eps**2,
+            "coefficient": 2.0 * inter["cover_count"] + params.n,
+            "exponent": inter["exponent"],
         },
         caveats=("standard_bivariate_normal_only",),
     )

@@ -156,12 +156,7 @@ def cmd_depth(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    if args.d >= 3:
-        seed = _require_seed(args, f"cover construction in d={args.d}")
-        cover = build_cover(args.d, args.psi, rng=np.random.default_rng(split_seed(seed, 0)))
-    else:
-        cover = build_cover(args.d, args.psi)
-    _emit(cover.to_dict(), args.out)
+    _emit(_make_cover(args, args.d).to_dict(), args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Unit directions, projections, and constructive coverings of the sphere.
+"""Uniform directions and constructive coverings of the sphere.
 
 Halfspace depth is a minimum over directions, so everything downstream
 leans on two facts implemented here: projections onto nearby directions
@@ -28,69 +28,6 @@ def max_cover_radius(d: int) -> float:
     if d < 2:
         raise ValueError(f"covers require dimension >= 2, got d={d}")
     return math.acos(d ** -0.5)
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A point on the unit sphere, stored as a coordinate tuple."""
-
-    coordinates: tuple[float, ...]
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coordinates)
-        if len(coords) < 1:
-            raise ValueError("direction needs at least one coordinate")
-        norm = math.sqrt(math.fsum(c * c for c in coords))
-        if abs(norm - 1.0) > UNIT_NORM_RTOL:
-            raise ValueError(f"direction norm {norm!r} is not 1 within {UNIT_NORM_RTOL}")
-        object.__setattr__(self, "coordinates", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coordinates)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coordinates, dtype=float)
-
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        """Normalize a nonzero vector into a Direction."""
-        arr = np.asarray(v, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(tuple(arr / norm))
-
-
-def project(p, theta: Direction) -> float:
-    """Signed scalar projection of point p onto the direction theta.
-
-    Parameters
-    ----------
-    p : array_like, shape (d,)
-        Point to project.
-    theta : Direction
-        Unit direction of matching dimension.
-
-    Returns
-    -------
-    float
-        Inner product of p with the unit vector of theta.
-    """
-    arr = np.asarray(p, dtype=float).reshape(-1)
-    if arr.shape[0] != theta.dim:
-        raise ValueError(
-            f"dimension mismatch: point has {arr.shape[0]} coordinates, direction has {theta.dim}"
-        )
-    return float(arr @ theta.array)
-
-
-def spherical_distance(theta: Direction, phi: Direction) -> float:
-    """Geodesic (great-circle) distance between two directions, in [0, pi]."""
-    if theta.dim != phi.dim:
-        raise ValueError(f"dimension mismatch: {theta.dim} vs {phi.dim}")
-    return float(_safe_arccos(theta.array @ phi.array))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +67,6 @@ class SphericalCover:
     @property
     def n_centers(self) -> int:
         return int(self.centers.shape[0])
-
-    def directions(self) -> tuple[Direction, ...]:
-        return tuple(Direction(tuple(row)) for row in self.centers)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "psi": self.psi, "centers": self.centers.tolist()}

@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Direction
-
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Symmetry check tolerance for covariance input, absolute on entries
@@ -248,16 +246,6 @@ def _projected_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarra
     loc = u @ dist.mu_array
     var = np.einsum("md,de,me->m", u, dist.sigma_array, u)
     return loc, np.sqrt(var)
-
-
-def cdf_projected(dist: DistributionSpec, theta: Direction, t: float) -> float:
-    """CDF of the projection <X, theta> evaluated at t."""
-    if theta.dim != dist.d:
-        raise ValueError(f"direction has dimension {theta.dim}, distribution has {dist.d}")
-    if dist.family == "standard_normal":
-        return float(_phi(t))
-    loc, scale = _projected_moments(dist, theta.array[None, :])
-    return float(_phi((t - loc[0]) / scale[0]))
 
 
 def cdf_projected_many(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray) -> np.ndarray:

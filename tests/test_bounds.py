@@ -312,6 +312,29 @@ def test_sharp2d_theorem_matches_bivariate_closed_form():
             assert abs(rep.value - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
+def test_bivariate_is_the_sharp2d_theorem_bit_for_bit():
+    # eps is drawn so that the penalty e^t lies between e^-30 and e^5, where
+    # the value is neither vacuous by far nor rounded to 1
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        n = int(rng.integers(10, 10 ** 7))
+        coef = 2.0 * SQRT_2PI * n ** 1.5 + n + 2.0
+        eps = math.sqrt((math.log(coef) + 4.0 - rng.uniform(-30.0, 5.0)) / (2.0 * n))
+        params = BoundParams(n=n, eps=min(eps, 1.0), d=2)
+        theorem = bound_parameter_free(params, sharp2d=True)
+        assert evaluate_bound("bivariate", params).value == theorem.value
+        assert bound_bivariate_normal(params.n, params.eps) == theorem.value
+
+
+def test_theorem_never_exceeds_its_strict_delta_value():
+    rng = np.random.default_rng(161803)
+    for _ in range(500):
+        p = _random_params(rng)
+        for sharp2d in (False, True) if p.d == 2 else (False,):
+            rep = bound_parameter_free(p, sharp2d=sharp2d)
+            assert rep.value <= rep.intermediates["strict_delta_value"]
+
+
 def test_sharp2d_rejects_other_dimensions():
     p = BoundParams(n=100, eps=0.1, d=3)
     with pytest.raises(ValueError):
@@ -360,6 +383,24 @@ def test_evaluate_bound_bivariate_requires_planar():
     assert not rep.applicable
     rep2 = evaluate_bound("bivariate", BoundParams(n=100, eps=0.1, d=2))
     assert rep2.applicable
+
+
+def test_recorded_preconditions_hold_iff_lhs_below_rhs():
+    grid = [
+        dict(n=500, eps=0.1, r=3.0, delta=0.5),
+        dict(n=10, eps=0.05, r=0.5, delta=2.0),
+        dict(n=10 ** 6, eps=0.9, r=1.0, delta=1e-3),
+    ]
+    for kind in BOUND_KINDS:
+        for d in range(1, 5):
+            for values in grid:
+                for flags in ({}, {"sharp2d": True}, {"exact_m": True}):
+                    try:
+                        rep = evaluate_bound(kind, BoundParams(d=d, **values), **flags)
+                    except ValueError:
+                        continue  # this kind does not accept this d or flag
+                    for pre in rep.preconditions:
+                        assert pre.satisfied == (pre.lhs < pre.rhs), (kind, d, values, flags, pre)
 
 
 def test_bound_params_validation():

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from halfdepth.cli import main
 from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
 from halfdepth.geometry import build_cover
 from halfdepth.population import elliptical_normal, standard_normal
+
+
+# The subprocess tests import the package from the source tree, whatever
+# PYTHONPATH the test run itself was started with.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def run_cli(capsys, *argv):
@@ -396,7 +407,7 @@ def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "halfdepth", "depth", "--method", "1d",
          "--query", "2", "--sample", "1,2,3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2
@@ -407,7 +418,7 @@ def test_cli_import_leaves_scipy_spatial_out():
     # oracle needs it, so it is imported there.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, halfdepth.cli; print('scipy.spatial' in sys.modules)"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -438,7 +449,8 @@ def test_bounds_and_cli_import_leave_scipy_out():
     # Only the normal CDF and the subset-count oracle need scipy; the bound
     # sweep over every kind must not load it.
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_BOUNDS], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _SCIPY_FREE_BOUNDS],
+        capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"

@@ -1,4 +1,4 @@
-"""Unit tests for directions, spherical covers, and cover verification."""
+"""Unit tests for direction sampling, spherical covers, and cover verification."""
 
 import math
 
@@ -7,13 +7,10 @@ import pytest
 
 from halfdepth.geometry import (
     CoverCheck,
-    Direction,
     SphericalCover,
     build_cover,
     max_cover_radius,
-    project,
     sample_directions,
-    spherical_distance,
     verify_cover,
 )
 
@@ -35,46 +32,6 @@ def test_max_cover_radius_rejects_d1():
         max_cover_radius(1)
 
 
-def test_direction_requires_unit_norm():
-    Direction((1.0, 0.0))
-    with pytest.raises(ValueError):
-        Direction((1.0, 1.0))
-    with pytest.raises(ValueError):
-        Direction(())
-
-
-def test_direction_from_vector_normalizes():
-    theta = Direction.from_vector([3.0, 4.0])
-    assert theta.coordinates == pytest.approx((0.6, 0.8))
-    assert theta.dim == 2
-    with pytest.raises(ValueError):
-        Direction.from_vector([0.0, 0.0])
-
-
-def test_project_is_dot_product():
-    theta = Direction((0.6, 0.8))
-    assert project([1.0, 2.0], theta) == pytest.approx(0.6 + 1.6)
-    with pytest.raises(ValueError):
-        project([1.0, 2.0, 3.0], theta)
-
-
-def test_spherical_distance_reference_angles():
-    e1 = Direction((1.0, 0.0))
-    e2 = Direction((0.0, 1.0))
-    assert spherical_distance(e1, e1) == 0.0
-    assert spherical_distance(e1, e2) == pytest.approx(math.pi / 2.0)
-    assert spherical_distance(e1, Direction((-1.0, 0.0))) == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        spherical_distance(e1, Direction((1.0, 0.0, 0.0)))
-
-
-def test_spherical_distance_survives_rounding():
-    # dot products slightly outside [-1, 1] must not produce NaN
-    v = np.array([1.0 / math.sqrt(3.0)] * 3)
-    theta = Direction.from_vector(v)
-    assert spherical_distance(theta, theta) == 0.0
-
-
 def test_cover_validation():
     centers = np.array([[1.0, 0.0], [0.0, 1.0]])
     cover = SphericalCover(centers, 0.5)
@@ -88,6 +45,18 @@ def test_cover_validation():
         SphericalCover(np.array([[1.0, 1.0]]), 0.5)
     with pytest.raises(ValueError):
         SphericalCover(np.zeros((0, 2)), 0.5)
+
+
+def test_direction_requires_unit_norm():
+    # Directions are rows of a cover's centers; each must have unit norm and
+    # at least one coordinate.
+    SphericalCover(np.array([[1.0, 0.0]]), 0.5)
+    with pytest.raises(ValueError):
+        SphericalCover(np.array([[1.0, 1.0]]), 0.5)
+    with pytest.raises(ValueError):
+        SphericalCover(np.array([[1.0 + 1e-11, 0.0]]), 0.5)
+    with pytest.raises(ValueError):
+        SphericalCover(np.zeros((1, 0)), 0.5)
 
 
 def test_cover_centers_are_read_only():
@@ -193,3 +162,24 @@ def test_verify_cover_gap_matches_exact_2d_geometry():
     exact = math.pi / cover.n_centers
     assert check.max_gap <= exact + 1e-12
     assert check.max_gap > exact - 0.01
+
+
+def test_verify_cover_gap_survives_rounding():
+    # Every sampled direction is also a center, so each best dot product is a
+    # squared norm that rounds to within a few ulps of 1, some of them above
+    # it; the gap must come out as a few 1e-8 at most, not NaN.
+    trials = 2000
+    centers = sample_directions(3, trials, np.random.default_rng(6))
+    assert (np.einsum("ij,ij->i", centers, centers) > 1.0).any()
+    check = verify_cover(SphericalCover(centers, 0.5), trials, rng=np.random.default_rng(6))
+    assert 0.0 <= check.max_gap < 1e-7
+    assert check.passed
+
+
+def test_verify_cover_gap_is_the_geodesic_distance():
+    # One center on the circle: the farthest direction is its antipode, pi away,
+    # and the gap is measured along the circle, not as a chord.
+    cover = SphericalCover(np.array([[1.0, 0.0]]), 0.5)
+    check = verify_cover(cover, 20_000, rng=np.random.default_rng(9))
+    assert math.pi - 0.01 < check.max_gap <= math.pi
+    assert not check.passed

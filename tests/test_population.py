@@ -7,11 +7,10 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from halfdepth.geometry import Direction, sample_directions
+from halfdepth.geometry import sample_directions
 from halfdepth.population import (
     DistributionSpec,
     affine_reduce,
-    cdf_projected,
     cdf_projected_many,
     elliptical_normal,
     population_depth,
@@ -118,20 +117,21 @@ def test_affine_reduce_rejects_singular():
 
 def test_cdf_projected_standard_normal():
     dist = standard_normal(2)
-    theta = Direction.from_vector([1.0, 1.0])
+    theta = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
     for t in (-2.0, -0.3, 0.0, 1.7):
-        assert cdf_projected(dist, theta, t) == pytest.approx(float(ndtr(t)), rel=1e-14)
+        got = cdf_projected_many(dist, theta, np.array([t]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(float(ndtr(t)), rel=1e-14)
 
 
 def test_cdf_projected_elliptical_matches_norm():
     dist = elliptical_normal([1.0, 2.0], [[4.0, 1.0], [1.0, 2.0]])
     u = np.array([0.6, 0.8])
-    theta = Direction(tuple(u))
     mean = u @ dist.mu_array
     sd = math.sqrt(u @ dist.sigma_array @ u)
     for t in (-1.0, 0.5, 3.0):
         expected = norm.cdf(t, loc=mean, scale=sd)
-        assert cdf_projected(dist, theta, t) == pytest.approx(expected, rel=1e-12)
+        assert cdf_projected_many(dist, u[None, :], np.array([t]))[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_cdf_projected_many_matches_loop():
@@ -140,7 +140,7 @@ def test_cdf_projected_many_matches_loop():
     dirs = sample_directions(3, 7, rng)
     t = rng.normal(size=7)
     got = cdf_projected_many(dist, dirs, t)
-    expected = [cdf_projected(dist, Direction(tuple(u)), tv) for u, tv in zip(dirs, t)]
+    expected = [cdf_projected_many(dist, u[None, :], np.array([tv]))[0] for u, tv in zip(dirs, t)]
     np.testing.assert_allclose(got, expected, rtol=1e-14)
 
 
