@@ -22,13 +22,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .population import DistributionSpec
+from .geometry import log_covering_count, max_cover_radius
+from .population import SQRT_2PI, DistributionSpec
 
 # exp() clamp: beyond this the penalty is astronomically vacuous anyway,
 # and clamping keeps sweep outputs finite and comparable.
 _EXP_CLAMP = 700.0
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 BOUND_KINDS = ("vc1", "vc2", "dkw", "prop-r-delta", "cor-delta", "theorem", "bivariate")
 
@@ -103,7 +102,7 @@ class BoundParams:
     d: int = 2
     lam: float = 1.0
     c1: float = 1.0
-    lpi: float = 1.0 / _SQRT_2PI
+    lpi: float = 1.0 / SQRT_2PI
     ltheta: float = 0.0
     c2: float = 1.0
     r: float | None = None
@@ -144,7 +143,7 @@ def shatter_upper(r: int, d: int) -> float:
     """Upper bound (3/2) r^(d+1) / (d+1)! on halfspace subset counts."""
     if r < 1 or d < 1:
         raise ValueError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
-    return 1.5 * float(r) ** (d + 1) / math.factorial(d + 1)
+    return _log_shatter(r, d, exact_m=False)[1]
 
 
 def shatter_exact_2d(r: int) -> int:
@@ -250,8 +249,6 @@ def _vc_report(kind: str, params: BoundParams, r: int, exponent: float, exact_m:
 
 def vc_bound_double_sample(params: BoundParams, exact_m: bool = False) -> BoundReport:
     """Deviation bound 4 m(2n) exp(-n eps^2 / 8) from the double-sample trick."""
-    if params.d < 2 and exact_m:
-        raise ValueError("exact shatter count requires d=2")
     return _vc_report("vc1", params, 2 * params.n, -params.n * params.eps**2 / 8.0, exact_m)
 
 
@@ -267,39 +264,6 @@ def dkw_bound(n: int, eps: float) -> float:
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     return 2.0 * math.exp(-2.0 * n * eps * eps)
-
-
-@dataclass(frozen=True)
-class CoveringCount:
-    """Cap counts needed to cover the sphere at radius psi, two forms.
-
-    exact_form is the tighter expression
-    c2 * (cos psi / sin^(d-1) psi) * (d-1)^(3/2) * ln(1 + (d-1) cos^2 psi);
-    simplified is the looser closed form
-    c2 * (sqrt(d)/psi)^(d-1) * (d-1)^(3/2) * ln(d), always at least as large.
-    """
-
-    exact_form: float
-    simplified: float
-
-    def to_dict(self) -> dict:
-        return {"exact_form": self.exact_form, "simplified": self.simplified}
-
-
-def covering_count(d: int, psi: float, c2: float = 1.0) -> CoveringCount:
-    """Evaluate both covering-count forms; valid for 0 < psi < arccos(d^-1/2)."""
-    if d < 2:
-        raise ValueError(f"covering counts require d >= 2, got {d}")
-    if c2 <= 0:
-        raise ValueError(f"c2 must be positive, got {c2}")
-    limit = math.acos(d ** -0.5)
-    if not (0.0 < psi < limit):
-        raise ValueError(f"psi {psi} outside (0, {limit:.6f}) for d={d}")
-    cos_psi = math.cos(psi)
-    sin_psi = math.sin(psi)
-    exact = c2 * (cos_psi / sin_psi ** (d - 1)) * (d - 1) ** 1.5 * math.log1p((d - 1) * cos_psi**2)
-    simplified = c2 * (math.sqrt(d) / psi) ** (d - 1) * (d - 1) ** 1.5 * math.log(d)
-    return CoveringCount(exact_form=exact, simplified=simplified)
 
 
 def _require(params: BoundParams, *names: str) -> None:
@@ -318,12 +282,7 @@ def _cover_log_coef(params: BoundParams, psi_eff: float, sharp2d: bool) -> tuple
             raise ValueError("sharp-2d mode applies only to d=2")
         count = math.pi / psi_eff + 1.0
         return math.log(2.0) + math.log(count), count
-    log_count = (
-        math.log(params.c2)
-        + (d - 1) * (0.5 * math.log(d) - math.log(psi_eff))
-        + 1.5 * math.log(d - 1)
-        + math.log(math.log(d))
-    )
+    log_count = math.log(params.c2) + log_covering_count(d, psi_eff)
     return math.log(2.0) + log_count, _exp_clamped(log_count)
 
 
@@ -342,7 +301,7 @@ def _covering_route(
     """
     n, eps, d = params.n, params.eps, params.d
     psi_eff = eps * delta / ((1.0 + delta) * (params.ltheta + params.lpi * r))
-    limit = math.acos(d ** -0.5)
+    limit = max_cover_radius(d)
     pre = (
         Precondition("cover_radius_in_range", psi_eff < limit, psi_eff, limit),
         Precondition("balanced_radius_above_one" if balanced else "tail_radius_above_one", r > 1.0, 1.0, r),
@@ -470,9 +429,7 @@ def improvement_factor(n: int, d: int) -> float:
     """
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    exponent = (2 * d + 2) - 1.5 * (d - 1)
-    assert abs(exponent - (d + 7) / 2.0) < 1e-12
-    return float(n) ** exponent
+    return float(n) ** ((d + 7) / 2)
 
 
 def _bivariate_report(params: BoundParams) -> BoundReport:

@@ -320,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--eps", type=float, required=True)
     p_bound.add_argument("--d", type=int, default=2)
-    p_bound.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_bound.add_argument("--c1", type=float, default=1.0)
-    p_bound.add_argument("--c2", type=float, default=1.0)
-    p_bound.add_argument("--lpi", type=float, default=float(1.0 / np.sqrt(2.0 * np.pi)))
-    p_bound.add_argument("--ltheta", type=float, default=0.0)
+    p_bound.add_argument("--lambda", dest="lam", type=float, default=BoundParams.lam)
+    p_bound.add_argument("--c1", type=float, default=BoundParams.c1)
+    p_bound.add_argument("--c2", type=float, default=BoundParams.c2)
+    p_bound.add_argument("--lpi", type=float, default=BoundParams.lpi)
+    p_bound.add_argument("--ltheta", type=float, default=BoundParams.ltheta)
     p_bound.add_argument("--r", type=float)
     p_bound.add_argument("--delta", type=float)
     p_bound.add_argument("--sharp-2d", action="store_true",

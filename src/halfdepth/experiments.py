@@ -277,10 +277,10 @@ def _compare_bounds(cfg: ExperimentConfig, exceedance: float) -> tuple[tuple[Bou
     comparisons = []
     findings = []
     validity_ok = True
+    params = BoundParams.from_distribution(
+        cfg.dist, cfg.n, cfg.eps, c2=cfg.c2, delta=cfg.delta, r=cfg.r
+    )
     for kind in cfg.kinds:
-        params = BoundParams.from_distribution(
-            cfg.dist, cfg.n, cfg.eps, c2=cfg.c2, delta=cfg.delta, r=cfg.r
-        )
         report = evaluate_bound(kind, params, exact_m=(kind in ("vc1", "vc2") and cfg.dist.d == 2))
         bound = report.exceedance_bound()
         sigma = max(math.sqrt(bound * (1.0 - bound) / cfg.trials), 1.0 / cfg.trials)
@@ -362,17 +362,14 @@ def run_bound_sweep(
     n_values,
     eps_values,
     d: int,
-    lam: float = 1.0,
-    c1: float = 1.0,
-    lpi: float = 1.0 / math.sqrt(2.0 * math.pi),
-    ltheta: float = 0.0,
-    c2: float = 1.0,
-    delta: float | None = None,
-    r: float | None = None,
     sharp2d: bool = False,
     exact_m: bool = False,
+    **constants,
 ) -> list[dict]:
     """Evaluate bound kinds over a grid of (n, eps); one row per combination.
+
+    constants are the other BoundParams fields (lam, c1, lpi, ltheta, c2,
+    r, delta); an omitted one takes the BoundParams default.
 
     Rows record the value, vacuous and applicability flags, a compact
     precondition summary, the implied exceedance bound, and (for the vc2
@@ -383,10 +380,7 @@ def run_bound_sweep(
     for kind in kinds:
         for n in n_values:
             for eps in eps_values:
-                params = BoundParams(
-                    n=int(n), eps=float(eps), d=d, lam=lam, c1=c1, lpi=lpi,
-                    ltheta=ltheta, c2=c2, delta=delta, r=r,
-                )
+                params = BoundParams(n=int(n), eps=float(eps), d=d, **constants)
                 report = evaluate_bound(kind, params, sharp2d=sharp2d, exact_m=exact_m)
                 pre = ";".join(
                     f"{p.name}={'ok' if p.satisfied else 'violated'}" for p in report.preconditions

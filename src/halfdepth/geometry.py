@@ -17,6 +17,17 @@ import numpy as np
 # Unit-norm validation tolerance, relative to 1.
 UNIT_NORM_RTOL = 1e-12
 
+# Directions verify_cover samples per matrix product, bounding its memory.
+_VERIFY_CHUNK = 20_000
+
+# build_cover (d >= 3): sampled directions per verification, the fraction
+# of psi the sampled gap must stay under, the growth factor of the center
+# count between rounds, and the number of rounds before giving up.
+_COVER_VERIFY_TRIALS = 100_000
+_COVER_SLACK = 0.9
+_COVER_GROWTH = 1.3
+_COVER_MAX_ROUNDS = 40
+
 # Dot products of unit vectors can land just outside [-1, 1] after
 # floating-point rounding; clamp before arccos.
 def _safe_arccos(x):
@@ -117,7 +128,6 @@ def verify_cover(
     cover: SphericalCover,
     trials: int,
     rng: np.random.Generator | None = None,
-    chunk: int = 20_000,
 ) -> CoverCheck:
     """Sample uniform directions and report the largest gap to the nearest center.
 
@@ -133,7 +143,7 @@ def verify_cover(
     min_best_dot = 1.0
     remaining = int(trials)
     while remaining > 0:
-        k = min(chunk, remaining)
+        k = min(_VERIFY_CHUNK, remaining)
         g = sample_directions(cover.d, k, rng)
         best = (g @ centers_t).max(axis=1)
         min_best_dot = min(min_best_dot, float(best.min()))
@@ -153,30 +163,30 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-def _lemma_count(d: int, psi: float) -> int:
-    # Simplified covering-count form with unit leading constant, used only
-    # to size the initial candidate set before verification.
-    count = (math.sqrt(d) / psi) ** (d - 1) * (d - 1) ** 1.5 * math.log(d)
-    return max(2 * d, int(math.ceil(count)))
+def log_covering_count(d: int, psi: float) -> float:
+    """Log of the covering lemma's cap count at unit leading constant:
+    log((sqrt(d)/psi)^(d-1) (d-1)^(3/2) ln d), for d >= 2 and psi > 0.
+
+    The bounds' covering route multiplies the count by its constant c2;
+    build_cover starts its search from the count itself.
+    """
+    return (d - 1) * (0.5 * math.log(d) - math.log(psi)) + 1.5 * math.log(d - 1) + math.log(math.log(d))
 
 
 def build_cover(
     d: int,
     psi: float,
     rng: np.random.Generator | None = None,
-    verify_trials: int = 100_000,
-    slack: float = 0.9,
-    growth: float = 1.3,
-    max_rounds: int = 40,
 ) -> SphericalCover:
     """Construct a cover of S^(d-1) by caps of radius psi.
 
     d=2 uses exactly ceil(pi/psi)+1 equally spaced angles, which covers the
     circle deterministically (no verification needed). d=3 uses a Fibonacci
-    lattice and d>=4 uniform random centers, both sized from the simplified
-    covering-count formula and grown geometrically until a statistical check
-    passes at radius slack*psi. The slack leaves headroom so independent
-    re-verification at radius psi is comfortably safe.
+    lattice and d>=4 uniform random centers. Both start from
+    max(2d, ceil(exp(log_covering_count(d, psi)))) centers and grow by
+    _COVER_GROWTH until _COVER_VERIFY_TRIALS sampled directions all lie
+    within _COVER_SLACK * psi of a center. The slack leaves headroom so
+    independent re-verification at radius psi is comfortably safe.
 
     Parameters
     ----------
@@ -198,17 +208,17 @@ def build_cover(
         return SphericalCover(centers, psi)
     if rng is None:
         rng = np.random.default_rng(0)
-    count = _lemma_count(d, psi)
-    for _ in range(max_rounds):
+    count = max(2 * d, int(math.ceil(math.exp(log_covering_count(d, psi)))))
+    for _ in range(_COVER_MAX_ROUNDS):
         if d == 3:
             centers = _fibonacci_sphere(count)
         else:
             centers = sample_directions(d, count, rng)
         candidate = SphericalCover(centers, psi)
-        check = verify_cover(candidate, verify_trials, rng)
-        if check.max_gap <= slack * psi:
+        check = verify_cover(candidate, _COVER_VERIFY_TRIALS, rng)
+        if check.max_gap <= _COVER_SLACK * psi:
             return candidate
-        count = int(math.ceil(count * growth))
+        count = int(math.ceil(count * _COVER_GROWTH))
     raise RuntimeError(
-        f"could not verify a cover of S^{d - 1} at radius {psi} within {max_rounds} growth rounds"
+        f"could not verify a cover of S^{d - 1} at radius {psi} within {_COVER_MAX_ROUNDS} growth rounds"
     )

@@ -251,6 +251,8 @@ def _projected_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarra
 def cdf_projected_many(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized projected CDF: directions (m, d), t (..., m) -> same shape as t."""
     directions = np.asarray(directions, dtype=float)
+    if directions.shape[-1] != dist.d:
+        raise ValueError(f"direction has dimension {directions.shape[-1]}, distribution has {dist.d}")
     t = np.asarray(t, dtype=float)
     if dist.family == "standard_normal":
         return _phi(t)

@@ -247,7 +247,10 @@ def depth_exact_2d(q, sample: Sample) -> DepthValue:
 
 
 def _brute_candidates(y: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Candidate normals: null directions of <= d-1 point subsets, nudged off contact."""
+    """Candidate normals: null directions of <= d-1 point subsets, nudged off contact.
+
+    y is in units of R_q (rows of norm at most 1), so the thresholds here are relative.
+    """
     n, d = y.shape
     generic = np.random.default_rng(0xD1CE).standard_normal((d, d))
     live = np.nonzero(norms > 0)[0]
@@ -262,7 +265,7 @@ def _brute_candidates(y: np.ndarray, norms: np.ndarray) -> np.ndarray:
                 for b in basis:
                     v -= (v @ b) * b
                 nv = np.linalg.norm(v)
-                if nv <= 1e-10 * max(1.0, np.linalg.norm(row)):
+                if nv <= 1e-10:
                     ok = False  # affinely degenerate subset, smaller ones cover it
                     break
                 basis.append(v / nv)
@@ -317,14 +320,16 @@ def depth_brute(q, sample: Sample) -> DepthValue:
         return depth_1d(q[0], sample)
     y = sample.points - q
     norms = np.linalg.norm(y, axis=1)
-    tol = TIE_RTOL * norms.max()
-    on_query = norms <= tol
-    if bool(on_query.all()):
+    radius = norms.max()
+    if radius == 0.0:
         return DepthValue(count=sample.n, n=sample.n)
+    y = y / radius
+    norms = norms / radius
+    on_query = norms <= TIE_RTOL
     normals = _brute_candidates(y, np.where(on_query, 0.0, norms))
     proj = y @ normals.T
-    below = np.count_nonzero(proj <= tol, axis=0)
-    above = np.count_nonzero(proj >= -tol, axis=0)
+    below = np.count_nonzero(proj <= TIE_RTOL, axis=0)
+    above = np.count_nonzero(proj >= -TIE_RTOL, axis=0)
     best = int(min(below.min(), above.min()))
     return DepthValue(count=best, n=sample.n)
 

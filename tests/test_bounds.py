@@ -1,4 +1,4 @@
-"""Unit tests for shatter counts, covering counts, and the deviation bounds."""
+"""Unit tests for shatter counts, the covering count, and the deviation bounds."""
 
 import math
 from dataclasses import replace
@@ -13,7 +13,6 @@ from halfdepth.bounds import (
     bound_bivariate_normal,
     bound_free_params,
     bound_parameter_free,
-    covering_count,
     dkw_bound,
     evaluate_bound,
     halfplane_subset_count,
@@ -24,6 +23,7 @@ from halfdepth.bounds import (
     vc_bound_double_sample,
     vc_bound_squared_sample,
 )
+from halfdepth.geometry import log_covering_count
 from halfdepth.population import standard_normal
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -158,38 +158,19 @@ def test_vc_bounds_stay_finite_at_extremes():
 
 
 def test_covering_count_simplified_d2():
-    got = covering_count(2, 0.5)
-    expected = (math.sqrt(2.0) / 0.5) * 1.0 * math.log(2.0)
-    assert got.simplified == pytest.approx(expected, rel=1e-12)
-
-
-def test_covering_count_exact_form_d2():
-    got = covering_count(2, 0.5)
-    expected = (math.cos(0.5) / math.sin(0.5)) * math.log(1.0 + math.cos(0.5) ** 2)
-    assert got.exact_form == pytest.approx(expected, rel=1e-12)
+    # (sqrt(d)/psi)^(d-1) (d-1)^(3/2) ln d at unit leading constant
+    assert math.exp(log_covering_count(2, 0.5)) == pytest.approx(math.sqrt(2.0) / 0.5 * math.log(2.0), rel=1e-12)
+    expected_3d = (math.sqrt(3.0) / 0.2) ** 2 * 2.0 ** 1.5 * math.log(3.0)
+    assert math.exp(log_covering_count(3, 0.2)) == pytest.approx(expected_3d, rel=1e-12)
 
 
 def test_covering_count_scales_with_c2():
-    base = covering_count(3, 0.2)
-    scaled = covering_count(3, 0.2, c2=2.5)
-    assert scaled.exact_form == pytest.approx(2.5 * base.exact_form, rel=1e-12)
-    assert scaled.simplified == pytest.approx(2.5 * base.simplified, rel=1e-12)
-
-
-def test_covering_count_simplified_dominates_small_psi():
-    for d in (2, 3, 4, 6):
-        for psi in (0.05, 0.1, 0.2):
-            got = covering_count(d, psi)
-            assert got.simplified >= got.exact_form
-
-
-def test_covering_count_range_checks():
-    with pytest.raises(ValueError):
-        covering_count(1, 0.2)
-    with pytest.raises(ValueError):
-        covering_count(2, 0.0)
-    with pytest.raises(ValueError):
-        covering_count(2, math.pi / 4.0)
+    # the covering route counts c2 times as many caps at its psi_eff
+    base = BoundParams(n=1000, eps=0.1, d=3, r=2.0, delta=0.5)
+    for c2 in (1.0, 2.5):
+        inter = bound_free_params(replace(base, c2=c2)).intermediates
+        expected = c2 * math.exp(log_covering_count(3, inter["psi_eff"]))
+        assert inter["cover_count"] == pytest.approx(expected, rel=1e-12)
 
 
 # -------------------------------------------------------- covering-route chain

@@ -454,3 +454,12 @@ def test_bounds_and_cli_import_leave_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_package_exports_resolve_once():
+    # A name left in __all__ after its definition is deleted breaks
+    # "from halfdepth import *" only when that star import runs.
+    import halfdepth
+
+    assert len(set(halfdepth.__all__)) == len(halfdepth.__all__)
+    assert [name for name in halfdepth.__all__ if not hasattr(halfdepth, name)] == []

@@ -125,6 +125,12 @@ def test_build_cover_3d_verified():
     assert check.max_gap <= 0.3
 
 
+def test_build_cover_3d_starts_from_the_covering_count():
+    # ceil((sqrt(3)/psi)^2 * 2^(3/2) * ln 3) centers already pass at 0.9 psi
+    assert build_cover(3, 0.2).n_centers == 234
+    assert build_cover(3, 0.1).n_centers == 933
+
+
 def test_build_cover_high_d_needs_more_centers():
     small = build_cover(4, 0.5, rng=np.random.default_rng(2))
     large = build_cover(4, 0.3, rng=np.random.default_rng(2))

@@ -134,6 +134,12 @@ def test_cdf_projected_elliptical_matches_norm():
         assert cdf_projected_many(dist, u[None, :], np.array([t]))[0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_cdf_projected_many_rejects_wrong_dimension():
+    for dist in (standard_normal(2), elliptical_normal([1.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])):
+        with pytest.raises(ValueError, match="direction has dimension 3, distribution has 2"):
+            cdf_projected_many(dist, [[0.0, 0.0, 1.0]], [0.5])
+
+
 def test_cdf_projected_many_matches_loop():
     dist = elliptical_normal([0.5, -0.5, 1.0], np.diag([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(4)

@@ -396,6 +396,7 @@ def test_depth_counts_invariant_under_exact_scale_and_shift(d):
                 continue
             if d == 2:
                 out.append(depth_exact_2d(q, s).count)
+            out.append(depth_brute(q, s).count)
             iv = depth_certified(q, s, cover)
             out += [iv.lower, iv.upper, depth_approx(q, s, cover).count]
         return out
