@@ -116,7 +116,7 @@ def _make_cover(args, d: int) -> SphericalCover:
         return cover
     if getattr(args, "psi", None) is None:
         raise ValueError("this method needs a direction cover; pass --cover FILE or --psi RADIUS")
-    if d >= 3:
+    if d >= 4:
         seed = _require_seed(args, f"cover construction in d={d}")
         return build_cover(d, args.psi, rng=np.random.default_rng(split_seed(seed, 0)))
     return build_cover(d, args.psi)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_subsets.add_argument("--out")
     p_subsets.set_defaults(func=cmd_oracle)
 
-    p_verify = oracle_sub.add_parser("verify-cover", help="statistically verify a cover file")
+    p_verify = oracle_sub.add_parser("verify-cover", help="verify a cover file (exact hull radius for d <= 4)")
     p_verify.add_argument("--file", required=True)
     p_verify.add_argument("--trials", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int)

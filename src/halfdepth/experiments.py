@@ -273,15 +273,25 @@ def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
     )
 
 
-def _compare_bounds(cfg: ExperimentConfig, exceedance: float) -> tuple[tuple[BoundComparison, ...], bool, tuple[str, ...]]:
-    comparisons = []
-    findings = []
-    validity_ok = True
+def _bound_reports(cfg: ExperimentConfig) -> tuple[BoundReport, ...]:
+    """Evaluate each configured kind; raises before any trial runs when a
+    kind cannot be evaluated for this configuration."""
     params = BoundParams.from_distribution(
         cfg.dist, cfg.n, cfg.eps, c2=cfg.c2, delta=cfg.delta, r=cfg.r
     )
-    for kind in cfg.kinds:
-        report = evaluate_bound(kind, params, exact_m=(kind in ("vc1", "vc2") and cfg.dist.d == 2))
+    return tuple(
+        evaluate_bound(kind, params, exact_m=(kind in ("vc1", "vc2") and cfg.dist.d == 2))
+        for kind in cfg.kinds
+    )
+
+
+def _compare_bounds(
+    cfg: ExperimentConfig, reports: tuple[BoundReport, ...], exceedance: float
+) -> tuple[tuple[BoundComparison, ...], bool, tuple[str, ...]]:
+    comparisons = []
+    findings = []
+    validity_ok = True
+    for kind, report in zip(cfg.kinds, reports):
         bound = report.exceedance_bound()
         sigma = max(math.sqrt(bound * (1.0 - bound) / cfg.trials), 1.0 / cfg.trials)
         within = exceedance <= bound + 3.0 * sigma
@@ -317,8 +327,10 @@ def run_deviation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Deterministic given (config, seed): per-trial RNG streams are derived
     from the trial index, the cover (when randomness is involved in its
     construction) from a reserved stream, and results are sorted by trial
-    index regardless of execution order.
+    index regardless of execution order. The bounds are evaluated first,
+    so a kind that cannot be evaluated fails before any trial runs.
     """
+    reports = _bound_reports(cfg)
     d = cfg.dist.d
     psi = cfg.effective_psi()
     if d == 1:
@@ -342,7 +354,7 @@ def run_deviation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     trials.sort(key=lambda t: t.index)
 
     exceedance = sum(1 for t in trials if t.sup_deviation >= cfg.eps) / cfg.trials
-    comparisons, validity_ok, findings = _compare_bounds(cfg, exceedance)
+    comparisons, validity_ok, findings = _compare_bounds(cfg, reports, exceedance)
     return ExperimentResult(
         config=cfg,
         psi=psi,

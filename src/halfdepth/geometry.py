@@ -20,13 +20,22 @@ UNIT_NORM_RTOL = 1e-12
 # Directions verify_cover samples per matrix product, bounding its memory.
 _VERIFY_CHUNK = 20_000
 
-# build_cover (d >= 3): sampled directions per verification, the fraction
-# of psi the sampled gap must stay under, the growth factor of the center
-# count between rounds, and the number of rounds before giving up.
-_COVER_VERIFY_TRIALS = 100_000
-_COVER_SLACK = 0.9
+# Largest dimension with an exact covering radius: Qhull's facet count grows
+# like m^floor(d/2), so higher dimensions fall back to sampling.
+_EXACT_RADIUS_MAX_D = 4
+
+# Margin by which an exact radius must stay under psi to certify a cover;
+# it absorbs the rounding of Qhull's facet offsets in the safe direction.
+_RADIUS_ATOL = 1e-12
+
+# build_cover (d >= 4): the growth factor of the center count between
+# rounds and the number of rounds before giving up; for d >= 5 also the
+# sampled directions per verification and the fraction of psi the sampled
+# gap must stay under.
 _COVER_GROWTH = 1.3
 _COVER_MAX_ROUNDS = 40
+_COVER_VERIFY_TRIALS = 100_000
+_COVER_SLACK = 0.9
 
 # Dot products of unit vectors can land just outside [-1, 1] after
 # floating-point rounding; clamp before arccos.
@@ -45,9 +54,10 @@ def max_cover_radius(d: int) -> float:
 class SphericalCover:
     """A finite set of directions meant to cover S^(d-1) at cap radius psi.
 
-    The covering property itself is checked statistically by
-    ``verify_cover``; the constructor only validates shapes, unit norms,
-    and the admissible psi range.
+    The constructor only validates shapes, unit norms, and the admissible
+    psi range. The covering property itself is checked by ``verify_cover``:
+    exactly from the convex hull of the centers (``cover_radius``) for
+    d <= 4, statistically by sampled directions above that.
     """
 
     centers: np.ndarray
@@ -94,12 +104,17 @@ class SphericalCover:
 
 @dataclass(frozen=True)
 class CoverCheck:
-    """Statistical covering report: largest observed gap over sampled directions."""
+    """Covering report: the largest gap over sampled directions, and the
+    exact covering radius where one is computed (method "hull"); passed
+    rests on the exact radius when there is one, else on the sampled gap.
+    """
 
     max_gap: float
     passed: bool
     trials: int
     psi: float
+    exact_radius: float | None = None
+    method: str = "sampled"
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +122,8 @@ class CoverCheck:
             "pass": self.passed,
             "trials": self.trials,
             "psi": self.psi,
+            "exact_radius": self.exact_radius,
+            "method": self.method,
         }
 
 
@@ -131,9 +148,12 @@ def verify_cover(
 ) -> CoverCheck:
     """Sample uniform directions and report the largest gap to the nearest center.
 
-    Passes when every sampled direction lies within psi of some center.
-    This is a statistical check, not a proof; trials around 1e5 are
-    adequate at the cap radii used here.
+    For d <= 4 the report also carries the exact covering radius
+    (``cover_radius``), and the cover passes when that radius is at most
+    psi, less a 1e-12 rounding margin. Above that dimension it passes when
+    every sampled direction lies within psi of some center: a statistical
+    check, not a proof, for which trials around 1e5 are adequate at the
+    cap radii used here. The sampled gap never exceeds the exact radius.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -149,7 +169,46 @@ def verify_cover(
         min_best_dot = min(min_best_dot, float(best.min()))
         remaining -= k
     max_gap = float(_safe_arccos(min_best_dot))
-    return CoverCheck(max_gap=max_gap, passed=max_gap <= cover.psi, trials=int(trials), psi=cover.psi)
+    exact = cover_radius(cover.centers) if cover.d <= _EXACT_RADIUS_MAX_D else None
+    return CoverCheck(
+        max_gap=max_gap,
+        passed=max_gap <= cover.psi if exact is None else _certifies(exact, cover.psi),
+        trials=int(trials),
+        psi=cover.psi,
+        exact_radius=exact,
+        method="sampled" if exact is None else "hull",
+    )
+
+
+def cover_radius(centers) -> float:
+    """Exact covering radius of unit directions on S^(d-1), for d in {2, 3, 4}.
+
+    The radius is the largest angle from any direction to its nearest
+    center. When the convex hull of the centers holds the origin strictly
+    inside it, the farthest directions are the outward facet normals, so
+    the radius is arccos of the smallest facet distance from the origin.
+    Otherwise a hyperplane through the origin has every center on one
+    closed side, so the pole of the other side is at least pi/2 from every
+    center; pi/2 is returned as that lower bound, which fails every
+    admissible psi. Flat inputs and fewer than d + 1 centers land here.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    arr = np.asarray(centers, dtype=float)
+    if arr.ndim != 2 or not 2 <= arr.shape[1] <= _EXACT_RADIUS_MAX_D:
+        raise ValueError(f"exact covering radius needs (m, d) centers with 2 <= d <= {_EXACT_RADIUS_MAX_D}")
+    try:
+        offsets = -ConvexHull(arr).equations[:, -1]
+    except QhullError:
+        return math.pi / 2.0
+    nearest = float(offsets.min())
+    if nearest <= 0.0:
+        return math.pi / 2.0
+    return math.acos(min(nearest, 1.0))
+
+
+def _certifies(radius: float, psi: float) -> bool:
+    return radius <= psi - _RADIUS_ATOL
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -181,11 +240,21 @@ def build_cover(
     """Construct a cover of S^(d-1) by caps of radius psi.
 
     d=2 uses exactly ceil(pi/psi)+1 equally spaced angles, which covers the
-    circle deterministically (no verification needed). d=3 uses a Fibonacci
-    lattice and d>=4 uniform random centers. Both start from
-    max(2d, ceil(exp(log_covering_count(d, psi)))) centers and grow by
-    _COVER_GROWTH until _COVER_VERIFY_TRIALS sampled directions all lie
-    within _COVER_SLACK * psi of a center. The slack leaves headroom so
+    circle deterministically (covering radius pi/m, no check needed).
+
+    d=3 uses the smallest Fibonacci lattice whose exact covering radius
+    (``cover_radius``) is at most psi, found by bisecting the count above
+    the area bound ceil(2/(1 - cos psi)). It consumes no randomness, so the
+    result is the same for every rng.
+
+    d=4 draws uniform random centers, starting from
+    max(2d, ceil(exp(log_covering_count(d, psi)))) and growing by
+    _COVER_GROWTH until the exact covering radius is at most psi.
+
+    d>=5 grows random centers the same way, but the check is statistical:
+    the hull is too large to build there, so the cover is accepted when
+    _COVER_VERIFY_TRIALS sampled directions all lie within
+    _COVER_SLACK * psi of a center. The slack leaves headroom so
     independent re-verification at radius psi is comfortably safe.
 
     Parameters
@@ -195,8 +264,9 @@ def build_cover(
     psi : float
         Cap radius, in (0, arccos(d^-1/2)).
     rng : numpy.random.Generator, optional
-        Source of randomness for d >= 3 construction and verification.
-        Defaults to a generator seeded with 0 so results are reproducible.
+        Source of randomness for d >= 4 construction and verification;
+        unused for d <= 3. Defaults to a generator seeded with 0 so results
+        are reproducible.
     """
     limit = max_cover_radius(d)
     if not (0.0 < psi < limit):
@@ -206,19 +276,44 @@ def build_cover(
         angles = 2.0 * math.pi * np.arange(count) / count
         centers = np.column_stack([np.cos(angles), np.sin(angles)])
         return SphericalCover(centers, psi)
+    if d == 3:
+        return SphericalCover(_smallest_fibonacci_cover(psi), psi)
     if rng is None:
         rng = np.random.default_rng(0)
     count = max(2 * d, int(math.ceil(math.exp(log_covering_count(d, psi)))))
     for _ in range(_COVER_MAX_ROUNDS):
-        if d == 3:
-            centers = _fibonacci_sphere(count)
-        else:
-            centers = sample_directions(d, count, rng)
-        candidate = SphericalCover(centers, psi)
-        check = verify_cover(candidate, _COVER_VERIFY_TRIALS, rng)
-        if check.max_gap <= _COVER_SLACK * psi:
+        candidate = SphericalCover(sample_directions(d, count, rng), psi)
+        if d <= _EXACT_RADIUS_MAX_D:
+            if _certifies(cover_radius(candidate.centers), psi):
+                return candidate
+        elif verify_cover(candidate, _COVER_VERIFY_TRIALS, rng).max_gap <= _COVER_SLACK * psi:
             return candidate
         count = int(math.ceil(count * _COVER_GROWTH))
     raise RuntimeError(
         f"could not verify a cover of S^{d - 1} at radius {psi} within {_COVER_MAX_ROUNDS} growth rounds"
     )
+
+
+def _smallest_fibonacci_cover(psi: float) -> np.ndarray:
+    """Centers of the smallest Fibonacci lattice with exact radius <= psi.
+
+    Fewer than 2/(1 - cos psi) caps of radius psi cannot cover the sphere's
+    area, so the count below that bound fails. Double the count until the
+    radius passes, then bisect between the last failing and passing counts.
+    The returned count passes and the count below it fails, so it is the
+    smallest passing count wherever the radius falls with the count.
+    """
+    failing = int(math.ceil(2.0 / (1.0 - math.cos(psi)))) - 1
+    passing = 2 * failing
+    best = _fibonacci_sphere(passing)
+    while not _certifies(cover_radius(best), psi):
+        failing, passing = passing, 2 * passing
+        best = _fibonacci_sphere(passing)
+    while passing - failing > 1:
+        mid = (failing + passing) // 2
+        centers = _fibonacci_sphere(mid)
+        if _certifies(cover_radius(centers), psi):
+            passing, best = mid, centers
+        else:
+            failing = mid
+    return best

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import halfdepth.cli as cli
+import halfdepth.experiments as expmod
 from halfdepth.cli import main
 from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
 from halfdepth.geometry import build_cover
@@ -88,10 +89,10 @@ def test_depth_certified_with_psi(capsys):
     assert data["lower"] <= data["upper"]
 
 
-def test_depth_certified_d3_requires_seed(capsys):
+def test_depth_certified_d4_requires_seed(capsys):
     code, _, err = run_cli(
-        capsys, "depth", "--method", "certified", "--query", "0,0,0",
-        "--sample", "1,0,0;0,1,0;0,0,1", "--psi", "0.3",
+        capsys, "depth", "--method", "certified", "--query", "0,0,0,0",
+        "--sample", "1,0,0,0;0,1,0,0;0,0,1,0", "--psi", "0.3",
     )
     assert code == 1
     assert "seed" in err
@@ -164,12 +165,27 @@ def test_cover_2d_is_deterministic_and_loadable(capsys):
     assert len(data["centers"]) == 12  # ceil(pi/0.3) + 1
 
 
-def test_cover_3d_requires_seed(capsys):
-    code, _, err = run_cli(capsys, "cover", "--d", "3", "--psi", "0.4")
+def test_cover_4d_requires_seed(capsys):
+    code, _, err = run_cli(capsys, "cover", "--d", "4", "--psi", "0.4")
     assert code == 1 and "seed" in err
-    code, out, _ = run_cli(capsys, "cover", "--d", "3", "--psi", "0.4", "--seed", "7")
+    code, out, _ = run_cli(capsys, "cover", "--d", "4", "--psi", "0.4", "--seed", "7")
     assert code == 0
-    assert json.loads(out)["d"] == 3
+    assert json.loads(out)["d"] == 4
+
+
+def test_d3_cover_output_is_the_same_with_and_without_seed(capsys):
+    pts = "1,0,0;0,1,0;0,0,1;-1,-1,-1;0.5,0.2,-0.3"
+    for argv in (
+        ("cover", "--d", "3", "--psi", "0.4"),
+        ("depth", "--method", "certified", "--query", "0,0,0", "--sample", pts, "--psi", "0.3"),
+        ("depth", "--method", "approx", "--query", "0,0,0", "--sample", pts, "--psi", "0.3"),
+    ):
+        outs = set()
+        for seed in ((), ("--seed", "7"), ("--seed", "8")):
+            code, out, _ = run_cli(capsys, *argv, *seed)
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1
 
 
 def test_cover_bad_psi(capsys):
@@ -271,6 +287,53 @@ def test_experiment_config_file(capsys, tmp_path):
     assert summary["config"]["seed"] == 17
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--d", "3", "--psi", "0.3", "--kinds", "dkw,prop-r-delta"),
+         "this bound requires the parameter 'r'"),
+        (("--d", "1", "--kinds", "dkw,theorem"), "the covering-route bounds require d >= 2"),
+    ],
+)
+def test_experiment_rejects_unevaluable_bound_before_trials(capsys, tmp_path, monkeypatch, argv, message):
+    calls = []
+    monkeypatch.setattr(expmod, "_run_trial", lambda *args: calls.append(args))
+    code, _, err = run_cli(
+        capsys, "experiment", "--n", "30", "--eps", "0.3", "--trials", "30", "--seed", "1",
+        *argv, "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert message in err
+    assert calls == []
+
+
+_D2_RUN_WITHOUT_SCIPY_SPATIAL = """
+import sys
+import halfdepth.cli
+assert 'scipy.spatial' not in sys.modules, 'import'
+from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
+from halfdepth.population import standard_normal
+res = run_deviation_experiment(ExperimentConfig(
+    dist=standard_normal(2), n=40, eps=0.25, trials=3, seed=5, psi=0.05,
+    kinds=('dkw', 'vc2', 'theorem'),
+))
+assert res.cover_size == 64
+assert 'scipy.spatial' not in sys.modules, 'experiment'
+print('ok')
+"""
+
+
+def test_d2_experiment_leaves_scipy_spatial_out():
+    # d=2 covers are closed-form; the convex hull that checks d=3 and d=4
+    # covers must not load scipy.spatial into a planar run.
+    proc = subprocess.run(
+        [sys.executable, "-c", _D2_RUN_WITHOUT_SCIPY_SPATIAL],
+        capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 def test_experiment_requires_seed(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "experiment", "--dist", "standard_normal", "--d", "1",
@@ -365,6 +428,33 @@ def test_oracle_verify_cover_pass_and_fail(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(out)["pass"] is False
+    # above d=4 only the sampled check runs
+    cross = tmp_path / "cross5.json"
+    cross.write_text(json.dumps({"d": 5, "psi": 1.1,
+                                 "centers": np.vstack([np.eye(5), -np.eye(5)]).tolist()}))
+    code, out, _ = run_cli(
+        capsys, "oracle", "verify-cover", "--file", str(cross),
+        "--trials", "5000", "--seed", "2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["method"] == "sampled" and report["exact_radius"] is None
+
+
+def test_oracle_verify_cover_fails_on_exact_radius(capsys, tmp_path):
+    # The 187-point Fibonacci lattice has exact radius 0.19957: sampling
+    # finds no gap above 0.1990, but the hull does.
+    cover = build_cover(3, 0.2)
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({"d": 3, "psi": 0.199, "centers": cover.centers.tolist()}))
+    code, out, _ = run_cli(
+        capsys, "oracle", "verify-cover", "--file", str(path),
+        "--trials", "100000", "--seed", "2",
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["method"] == "hull" and report["pass"] is False
+    assert report["max_gap"] < 0.199 < report["exact_radius"] == pytest.approx(0.19957, abs=1e-5)
 
 
 def test_oracle_verify_cover_requires_seed(capsys, tmp_path):

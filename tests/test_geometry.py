@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from halfdepth.geometry import (
     CoverCheck,
     SphericalCover,
+    _fibonacci_sphere,
     build_cover,
+    cover_radius,
     max_cover_radius,
     sample_directions,
     verify_cover,
@@ -79,7 +84,10 @@ def test_cover_dict_round_trip():
 
 def test_cover_check_dict_uses_pass_key():
     check = CoverCheck(max_gap=0.1, passed=True, trials=10, psi=0.2)
-    assert check.to_dict() == {"max_gap": 0.1, "pass": True, "trials": 10, "psi": 0.2}
+    assert check.to_dict() == {
+        "max_gap": 0.1, "pass": True, "trials": 10, "psi": 0.2,
+        "exact_radius": None, "method": "sampled",
+    }
 
 
 def test_sample_directions_unit_norm():
@@ -125,16 +133,56 @@ def test_build_cover_3d_verified():
     assert check.max_gap <= 0.3
 
 
-def test_build_cover_3d_starts_from_the_covering_count():
-    # ceil((sqrt(3)/psi)^2 * 2^(3/2) * ln 3) centers already pass at 0.9 psi
-    assert build_cover(3, 0.2).n_centers == 234
-    assert build_cover(3, 0.1).n_centers == 933
+def test_build_cover_3d_is_the_smallest_exact_fibonacci_cover():
+    for psi, count in ((0.3, 83), (0.2, 187), (0.1, 745)):
+        cover = build_cover(3, psi, rng=np.random.default_rng(1))
+        assert cover.n_centers == count
+        assert cover_radius(cover.centers) <= psi < cover_radius(_fibonacci_sphere(count - 1))
+        np.testing.assert_array_equal(cover.centers, _fibonacci_sphere(count))
+        # no randomness is consumed: every rng gives the same centers
+        other = build_cover(3, psi, rng=np.random.default_rng(2))
+        np.testing.assert_array_equal(other.centers, cover.centers)
+
+
+@given(st.floats(min_value=0.08, max_value=0.6))
+def test_build_cover_3d_exact_radius_within_psi(psi):
+    assert cover_radius(build_cover(3, psi).centers) <= psi
+
+
+def test_cover_radius_closed_forms():
+    for m in (3, 4, 7, 50):
+        angles = 2.0 * math.pi * np.arange(m) / m
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert cover_radius(circle) == pytest.approx(math.pi / m, rel=1e-12)
+    for d, radius in ((3, math.acos(3 ** -0.5)), (4, math.pi / 3.0)):
+        cross = np.vstack([np.eye(d), -np.eye(d)])
+        assert cover_radius(cross) == pytest.approx(radius, rel=1e-12)
+    # an antipodal pair leaves a whole great circle pi/2 away
+    assert cover_radius(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])) >= math.pi / 2.0
+    # a hemisphere's worth of centers leaves the opposite pole uncovered
+    upper = _fibonacci_sphere(200)
+    assert cover_radius(upper[upper[:, 2] > 0]) >= math.pi / 2.0
+    with pytest.raises(ValueError):
+        cover_radius(np.eye(5))
+
+
+def test_verify_cover_sampled_gap_stays_below_exact_radius():
+    for d, m, seed in ((3, 150, 3), (3, 600, 4), (4, 400, 5), (4, 1500, 6)):
+        centers = sample_directions(d, m, np.random.default_rng(seed))
+        exact = cover_radius(centers)
+        check = verify_cover(SphericalCover(centers, 0.5), 20_000, rng=np.random.default_rng(seed))
+        assert check.method == "hull" and check.exact_radius == exact
+        assert check.max_gap <= exact
+        assert check.passed == (exact <= 0.5)
 
 
 def test_build_cover_high_d_needs_more_centers():
     small = build_cover(4, 0.5, rng=np.random.default_rng(2))
     large = build_cover(4, 0.3, rng=np.random.default_rng(2))
     assert large.n_centers > small.n_centers
+    # d=4 covers are accepted on their exact radius
+    assert cover_radius(small.centers) <= 0.5
+    assert cover_radius(large.centers) <= 0.3
 
 
 def test_build_cover_rejects_bad_psi():
