@@ -116,9 +116,6 @@ def _make_cover(args, d: int) -> SphericalCover:
         return cover
     if getattr(args, "psi", None) is None:
         raise ValueError("this method needs a direction cover; pass --cover FILE or --psi RADIUS")
-    if d >= 4:
-        seed = _require_seed(args, f"cover construction in d={d}")
-        return build_cover(d, args.psi, rng=np.random.default_rng(split_seed(seed, 0)))
     return build_cover(d, args.psi)
 
 
@@ -304,14 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_depth.add_argument("--dist", help="population family name (standard_normal)")
     p_depth.add_argument("--dist-file", help="population spec JSON file")
     p_depth.add_argument("--d", type=int, help="dimension for --dist")
-    p_depth.add_argument("--seed", type=int, help="seed for any randomized construction")
     p_depth.add_argument("--out", help="write JSON here instead of stdout")
     p_depth.set_defaults(func=cmd_depth)
 
     p_cover = sub.add_parser("cover", help="build a cover of the unit sphere and emit JSON")
     p_cover.add_argument("--d", type=int, required=True)
     p_cover.add_argument("--psi", type=float, required=True)
-    p_cover.add_argument("--seed", type=int)
     p_cover.add_argument("--out")
     p_cover.set_defaults(func=cmd_cover)
 

@@ -28,10 +28,6 @@ from .sample_depth import Sample, _query_radii, depth_1d, depth_certified, depth
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# Reserved stream index for randomness outside the per-trial loop
-# (cover construction); far above any realistic trial count.
-_COVER_STREAM = 1 << 32
-
 # Kinds whose violation is a genuine validity failure. The covering-route
 # bounds carry the uncalibrated leading constant C2 and are reported as
 # findings instead.
@@ -325,20 +321,14 @@ def run_deviation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials, compare the exceedance frequency with each bound.
 
     Deterministic given (config, seed): per-trial RNG streams are derived
-    from the trial index, the cover (when randomness is involved in its
-    construction) from a reserved stream, and results are sorted by trial
-    index regardless of execution order. The bounds are evaluated first,
-    so a kind that cannot be evaluated fails before any trial runs.
+    from the trial index, the cover consumes no randomness, and results are
+    sorted by trial index regardless of execution order. The bounds are
+    evaluated and the cover is built first, so a kind that cannot be
+    evaluated or a cover too large to build fails before any trial runs.
     """
     reports = _bound_reports(cfg)
-    d = cfg.dist.d
     psi = cfg.effective_psi()
-    if d == 1:
-        cover = None
-    elif d == 2:
-        cover = build_cover(2, psi)
-    else:
-        cover = build_cover(d, psi, rng=np.random.default_rng(split_seed(cfg.seed, _COVER_STREAM)))
+    cover = None if psi is None else build_cover(cfg.dist.d, psi)
     if cfg.queries == "auto":
         queries = auto_queries(cfg.dist)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -28,14 +29,9 @@ _EXACT_RADIUS_MAX_D = 4
 # it absorbs the rounding of Qhull's facet offsets in the safe direction.
 _RADIUS_ATOL = 1e-12
 
-# build_cover (d >= 4): the growth factor of the center count between
-# rounds and the number of rounds before giving up; for d >= 5 also the
-# sampled directions per verification and the fraction of psi the sampled
-# gap must stay under.
-_COVER_GROWTH = 1.3
-_COVER_MAX_ROUNDS = 40
-_COVER_VERIFY_TRIALS = 100_000
-_COVER_SLACK = 0.9
+# Most centers build_cover allocates; a psi that needs more fails with a
+# ValueError before any array is made.
+_MAX_COVER_CENTERS = 1_000_000
 
 # Dot products of unit vectors can land just outside [-1, 1] after
 # floating-point rounding; clamp before arccos.
@@ -55,7 +51,8 @@ class SphericalCover:
     """A finite set of directions meant to cover S^(d-1) at cap radius psi.
 
     The constructor only validates shapes, unit norms, and the admissible
-    psi range. The covering property itself is checked by ``verify_cover``:
+    psi range. Covers from ``build_cover`` cover by construction, in every
+    dimension. A cover from elsewhere is checked by ``verify_cover``:
     exactly from the convex hull of the centers (``cover_radius``) for
     d <= 4, statistically by sampled directions above that.
     """
@@ -226,8 +223,8 @@ def log_covering_count(d: int, psi: float) -> float:
     """Log of the covering lemma's cap count at unit leading constant:
     log((sqrt(d)/psi)^(d-1) (d-1)^(3/2) ln d), for d >= 2 and psi > 0.
 
-    The bounds' covering route multiplies the count by its constant c2;
-    build_cover starts its search from the count itself.
+    The bounds' covering route multiplies the count by its constant c2.
+    build_cover does not use it: its constructions have their own counts.
     """
     return (d - 1) * (0.5 * math.log(d) - math.log(psi)) + 1.5 * math.log(d - 1) + math.log(math.log(d))
 
@@ -237,25 +234,26 @@ def build_cover(
     psi: float,
     rng: np.random.Generator | None = None,
 ) -> SphericalCover:
-    """Construct a cover of S^(d-1) by caps of radius psi.
+    """Construct a cover of S^(d-1) by caps of radius psi, proven in every d.
 
     d=2 uses exactly ceil(pi/psi)+1 equally spaced angles, which covers the
     circle deterministically (covering radius pi/m, no check needed).
 
     d=3 uses the smallest Fibonacci lattice whose exact covering radius
     (``cover_radius``) is at most psi, found by bisecting the count above
-    the area bound ceil(2/(1 - cos psi)). It consumes no randomness, so the
-    result is the same for every rng.
+    the area bound ceil(2/(1 - cos psi)).
 
-    d=4 draws uniform random centers, starting from
-    max(2d, ceil(exp(log_covering_count(d, psi)))) and growing by
-    _COVER_GROWTH until the exact covering radius is at most psi.
+    d>=4 uses the cell-centred k^(d-1) grid on each of the 2d faces of the
+    cube [-1, 1]^d, normalised: 2d k^(d-1) centers, with
+    k = ceil(sqrt(d-1) / (2 tan((psi - 1e-12)/2))). For a unit vector u
+    with largest coordinate |u_j|, the point u/|u_j| lies on a face, within
+    sqrt(d-1)/k of a cell centre; both lie on a hyperplane at distance 1
+    from the origin, so their angle is at most 2 arctan(sqrt(d-1)/(2k)),
+    which k keeps under psi - 1e-12.
 
-    d>=5 grows random centers the same way, but the check is statistical:
-    the hull is too large to build there, so the cover is accepted when
-    _COVER_VERIFY_TRIALS sampled directions all lie within
-    _COVER_SLACK * psi of a center. The slack leaves headroom so
-    independent re-verification at radius psi is comfortably safe.
+    No construction consumes randomness. A psi whose cover would need more
+    than _MAX_COVER_CENTERS centers raises ValueError before any array is
+    allocated.
 
     Parameters
     ----------
@@ -264,34 +262,43 @@ def build_cover(
     psi : float
         Cap radius, in (0, arccos(d^-1/2)).
     rng : numpy.random.Generator, optional
-        Source of randomness for d >= 4 construction and verification;
-        unused for d <= 3. Defaults to a generator seeded with 0 so results
-        are reproducible.
+        Accepted for callers that still pass one, and ignored: the result is
+        the same for every rng.
     """
     limit = max_cover_radius(d)
     if not (0.0 < psi < limit):
         raise ValueError(f"cover radius {psi} outside (0, {limit:.6f}) for d={d}")
+    # Any cover needs the pi/psi caps that cover one great circle, so this
+    # rejects the smallest psi before a count below is formed from it.
+    _check_size(d, psi, math.pi / psi)
     if d == 2:
         count = int(math.ceil(math.pi / psi)) + 1
+        _check_size(d, psi, count)
         angles = 2.0 * math.pi * np.arange(count) / count
         centers = np.column_stack([np.cos(angles), np.sin(angles)])
         return SphericalCover(centers, psi)
     if d == 3:
         return SphericalCover(_smallest_fibonacci_cover(psi), psi)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    count = max(2 * d, int(math.ceil(math.exp(log_covering_count(d, psi)))))
-    for _ in range(_COVER_MAX_ROUNDS):
-        candidate = SphericalCover(sample_directions(d, count, rng), psi)
-        if d <= _EXACT_RADIUS_MAX_D:
-            if _certifies(cover_radius(candidate.centers), psi):
-                return candidate
-        elif verify_cover(candidate, _COVER_VERIFY_TRIALS, rng).max_gap <= _COVER_SLACK * psi:
-            return candidate
-        count = int(math.ceil(count * _COVER_GROWTH))
-    raise RuntimeError(
-        f"could not verify a cover of S^{d - 1} at radius {psi} within {_COVER_MAX_ROUNDS} growth rounds"
-    )
+    side = math.ceil(math.sqrt(d - 1) / (2.0 * math.tan((psi - _RADIUS_ATOL) / 2.0)))
+    _check_size(d, psi, 2 * d * side ** (d - 1))
+    return SphericalCover(_cube_face_grid(d, side), psi)
+
+
+def _check_size(d: int, psi: float, count: int | float) -> None:
+    # Decimal formats counts of any size, where float() would overflow.
+    if count > _MAX_COVER_CENTERS:
+        raise ValueError(
+            f"a cover of S^{d - 1} (d={d}) at psi={psi} would need {Decimal(count):.4g} centers, "
+            f"more than the cap of {_MAX_COVER_CENTERS}; choose a larger psi"
+        )
+
+
+def _cube_face_grid(d: int, side: int) -> np.ndarray:
+    """Cell centres (2i+1)/side - 1 of every face of [-1, 1]^d, normalised."""
+    ticks = (2.0 * np.arange(side) + 1.0) / side - 1.0
+    face = np.stack(np.meshgrid(*([ticks] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
+    pts = np.vstack([np.insert(face, j, sign, axis=1) for j in range(d) for sign in (1.0, -1.0)])
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
 def _smallest_fibonacci_cover(psi: float) -> np.ndarray:
@@ -305,9 +312,11 @@ def _smallest_fibonacci_cover(psi: float) -> np.ndarray:
     """
     failing = int(math.ceil(2.0 / (1.0 - math.cos(psi)))) - 1
     passing = 2 * failing
+    _check_size(3, psi, passing)
     best = _fibonacci_sphere(passing)
     while not _certifies(cover_radius(best), psi):
         failing, passing = passing, 2 * passing
+        _check_size(3, psi, passing)
         best = _fibonacci_sphere(passing)
     while passing - failing > 1:
         mid = (failing + passing) // 2

@@ -81,21 +81,12 @@ def test_depth_certified_with_psi(capsys):
     pts = ";".join(f"{x:.6f},{y:.6f},{z:.6f}" for x, y, z in rng.normal(size=(15, 3)))
     code, out, _ = run_cli(
         capsys, "depth", "--method", "certified", "--query", "0,0,0",
-        "--sample", pts, "--psi", "0.3", "--seed", "5",
+        "--sample", pts, "--psi", "0.3",
     )
     assert code == 0
     data = json.loads(out)
     assert set(data) == {"lower", "upper", "psi", "R"}
     assert data["lower"] <= data["upper"]
-
-
-def test_depth_certified_d4_requires_seed(capsys):
-    code, _, err = run_cli(
-        capsys, "depth", "--method", "certified", "--query", "0,0,0,0",
-        "--sample", "1,0,0,0;0,1,0,0;0,0,1,0", "--psi", "0.3",
-    )
-    assert code == 1
-    assert "seed" in err
 
 
 def test_depth_with_cover_file(capsys, tmp_path):
@@ -165,27 +156,40 @@ def test_cover_2d_is_deterministic_and_loadable(capsys):
     assert len(data["centers"]) == 12  # ceil(pi/0.3) + 1
 
 
-def test_cover_4d_requires_seed(capsys):
-    code, _, err = run_cli(capsys, "cover", "--d", "4", "--psi", "0.4")
-    assert code == 1 and "seed" in err
-    code, out, _ = run_cli(capsys, "cover", "--d", "4", "--psi", "0.4", "--seed", "7")
-    assert code == 0
-    assert json.loads(out)["d"] == 4
+def test_cover_and_depth_output_is_reproducible_without_seed(capsys):
+    # No cover construction consumes randomness, so two runs agree byte for byte.
+    pts3 = "1,0,0;0,1,0;0,0,1;-1,-1,-1;0.5,0.2,-0.3"
+    pts4 = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;-1,-1,-1,-1;0.5,0.2,-0.3,0.1"
+    runs = [("cover", "--d", d, "--psi", "0.4") for d in ("3", "4", "5")]
+    for pts, query in ((pts3, "0,0,0"), (pts4, "0,0,0,0")):
+        for method in ("certified", "approx"):
+            runs.append(("depth", "--method", method, "--query", query, "--sample", pts, "--psi", "0.3"))
+    for argv in runs:
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run_cli(capsys, *argv) == first
+    cover4 = json.loads(run_cli(capsys, "cover", "--d", "4", "--psi", "0.5")[1])
+    assert len(cover4["centers"]) == 512
+    # cover takes no --seed
+    assert run_cli(capsys, "cover", "--d", "4", "--psi", "0.5", "--seed", "7")[0] == 1
 
 
-def test_d3_cover_output_is_the_same_with_and_without_seed(capsys):
-    pts = "1,0,0;0,1,0;0,0,1;-1,-1,-1;0.5,0.2,-0.3"
-    for argv in (
-        ("cover", "--d", "3", "--psi", "0.4"),
-        ("depth", "--method", "certified", "--query", "0,0,0", "--sample", pts, "--psi", "0.3"),
-        ("depth", "--method", "approx", "--query", "0,0,0", "--sample", pts, "--psi", "0.3"),
-    ):
-        outs = set()
-        for seed in ((), ("--seed", "7"), ("--seed", "8")):
-            code, out, _ = run_cli(capsys, *argv, *seed)
-            assert code == 0
-            outs.add(out)
-        assert len(outs) == 1
+def test_oversized_cover_fails_fast(capsys, tmp_path, monkeypatch):
+    code, out, err = run_cli(capsys, "cover", "--d", "6", "--psi", "0.05")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "d=6" in err and "psi=0.05" in err and "cap of 1000000" in err
+    # An experiment in d=4 with no --psi falls back to psi = 0.0063 at eps = 0.1.
+    calls = []
+    monkeypatch.setattr(expmod, "_run_trial", lambda *args: calls.append(args))
+    code, _, err = run_cli(
+        capsys, "experiment", "--d", "4", "--n", "30", "--eps", "0.1", "--trials", "5",
+        "--seed", "1", "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "d=4" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cover_bad_psi(capsys):
@@ -307,7 +311,7 @@ def test_experiment_rejects_unevaluable_bound_before_trials(capsys, tmp_path, mo
     assert calls == []
 
 
-_D2_RUN_WITHOUT_SCIPY_SPATIAL = """
+_RUNS_WITHOUT_SCIPY_SPATIAL = """
 import sys
 import halfdepth.cli
 assert 'scipy.spatial' not in sys.modules, 'import'
@@ -319,15 +323,19 @@ res = run_deviation_experiment(ExperimentConfig(
 ))
 assert res.cover_size == 64
 assert 'scipy.spatial' not in sys.modules, 'experiment'
+from halfdepth.geometry import build_cover
+assert build_cover(4, 0.5).n_centers == 512
+assert build_cover(5, 0.6).n_centers == 2560
+assert 'scipy.spatial' not in sys.modules, 'd>=4 covers'
 print('ok')
 """
 
 
 def test_d2_experiment_leaves_scipy_spatial_out():
-    # d=2 covers are closed-form; the convex hull that checks d=3 and d=4
-    # covers must not load scipy.spatial into a planar run.
+    # d=2 and d>=4 covers are closed-form; the convex hull that builds d=3
+    # covers must not load scipy.spatial into a planar run or a d>=4 cover.
     proc = subprocess.run(
-        [sys.executable, "-c", _D2_RUN_WITHOUT_SCIPY_SPATIAL],
+        [sys.executable, "-c", _RUNS_WITHOUT_SCIPY_SPATIAL],
         capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr

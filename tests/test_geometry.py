@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halfdepth.geometry as geometry
 from halfdepth.geometry import (
     CoverCheck,
     SphericalCover,
@@ -127,7 +128,7 @@ def test_build_cover_2d_is_deterministic():
 
 
 def test_build_cover_3d_verified():
-    cover = build_cover(3, 0.3, rng=np.random.default_rng(17))
+    cover = build_cover(3, 0.3)
     check = verify_cover(cover, 20000, rng=np.random.default_rng(5))
     assert check.passed
     assert check.max_gap <= 0.3
@@ -177,12 +178,52 @@ def test_verify_cover_sampled_gap_stays_below_exact_radius():
 
 
 def test_build_cover_high_d_needs_more_centers():
-    small = build_cover(4, 0.5, rng=np.random.default_rng(2))
-    large = build_cover(4, 0.3, rng=np.random.default_rng(2))
-    assert large.n_centers > small.n_centers
-    # d=4 covers are accepted on their exact radius
-    assert cover_radius(small.centers) <= 0.5
-    assert cover_radius(large.centers) <= 0.3
+    for d, psi, side in ((4, 0.5, 4), (4, 0.4, 5), (4, 0.3, 6), (5, 0.5, 4), (6, 0.6, 4)):
+        cover = build_cover(d, psi)
+        assert side == math.ceil(math.sqrt(d - 1) / (2.0 * math.tan((psi - 1e-12) / 2.0)))
+        assert cover.n_centers == 2 * d * side ** (d - 1)
+        # every center is a normalised cell centre of a cube face
+        scaled = cover.centers / np.abs(cover.centers).max(axis=1)[:, None]
+        cells = (scaled + 1.0) * side / 2.0
+        on_face = np.isclose(np.abs(scaled), 1.0, rtol=0.0, atol=1e-12)
+        assert (on_face.sum(axis=1) == 1).all()
+        np.testing.assert_allclose(cells[~on_face] % 1.0, 0.5, atol=1e-9)
+        assert len(np.unique(cover.centers.round(12), axis=0)) == cover.n_centers
+    assert build_cover(4, 0.3).n_centers > build_cover(4, 0.5).n_centers
+
+
+@settings(max_examples=30)
+@given(st.floats(min_value=0.15, max_value=1.04))
+def test_build_cover_4d_exact_radius_within_psi(psi):
+    assert cover_radius(build_cover(4, psi).centers) <= psi
+
+
+@pytest.mark.parametrize("d, psi", [(5, 0.5), (6, 0.6)])
+def test_build_cover_high_d_sampled_gap_within_psi(d, psi):
+    check = verify_cover(build_cover(d, psi), 20_000, rng=np.random.default_rng(d))
+    assert check.method == "sampled"
+    assert check.passed and check.max_gap <= psi
+
+
+def test_build_cover_high_d_consumes_no_randomness():
+    for d, psi in ((4, 0.4), (5, 0.5)):
+        a = build_cover(d, psi, rng=np.random.default_rng(1))
+        b = build_cover(d, psi, rng=np.random.default_rng(2))
+        np.testing.assert_array_equal(a.centers, b.centers)
+        np.testing.assert_array_equal(a.centers, build_cover(d, psi).centers)
+
+
+@pytest.mark.parametrize("d, psi", [(2, 1e-7), (3, 1e-4), (3, 1e-300), (4, 0.0063), (6, 0.05)])
+def test_build_cover_rejects_oversized_before_allocating(monkeypatch, d, psi):
+    def refuse(*args):
+        raise AssertionError("a cover array was allocated")
+
+    monkeypatch.setattr(geometry, "_fibonacci_sphere", refuse)
+    monkeypatch.setattr(geometry, "_cube_face_grid", refuse)
+    monkeypatch.setattr(geometry.np, "column_stack", refuse)
+    message = rf"\(d={d}\) at psi={psi} would need .* centers, more than the cap of 1000000"
+    with pytest.raises(ValueError, match=message):
+        build_cover(d, psi)
 
 
 def test_build_cover_rejects_bad_psi():

@@ -338,7 +338,7 @@ def test_depth_certified_3d_contains_brute():
     # On the integer grid, duplicated points and queries on sample points
     # put projections exactly on the thresholds.
     rng = np.random.default_rng(23)
-    cover = build_cover(3, 0.1, rng=np.random.default_rng(1))
+    cover = build_cover(3, 0.1)
     for grid in (False, True):
         for _ in range(15):
             if grid:
@@ -353,6 +353,31 @@ def test_depth_certified_3d_contains_brute():
                 assert lo <= depth_brute(q, s).count <= up
 
 
+@pytest.mark.parametrize("grid", [False, True], ids=["normal", "integer-grid"])
+def test_depth_certified_4d_contains_brute(grid):
+    # The cube-face cover of d=4; on the integer grid, repeated rows and
+    # queries on sample points put projections exactly on the thresholds.
+    rng = np.random.default_rng(44 + grid)
+    cover = build_cover(4, 0.5)
+    for _ in range(8):
+        n = int(rng.integers(8, 13))
+        if grid:
+            base = rng.integers(-1, 2, size=(n - 3, 4)).astype(float)
+            pts = np.vstack([base, base[:3]])
+            qs = np.vstack([pts[:3], rng.integers(-2, 3, size=(3, 4)) / 2.0])
+        else:
+            pts = rng.normal(size=(n, 4))
+            qs = np.vstack([pts[:1], rng.normal(size=(3, 4)) * 0.5])
+        s = Sample(pts)
+        lower, upper, _ = depth_certified_many(qs, s, cover)
+        for q, lo, up in zip(qs, lower, upper):
+            brute = depth_brute(q, s)
+            assert lo <= brute.count <= up
+            assert depth_approx(q, s, cover).count >= brute.count
+            iv = depth_certified(q, s, cover)
+            assert iv.lower <= brute.value <= iv.upper
+
+
 def _grid_or_normal(rng, n, d, grid):
     if grid:
         pts = rng.integers(-2, 3, size=(n, d)).astype(float)
@@ -364,7 +389,7 @@ def _grid_or_normal(rng, n, d, grid):
 @pytest.mark.parametrize("grid", [False, True], ids=["normal", "integer-grid"])
 def test_batched_depth_equals_single_query(d, grid):
     rng = np.random.default_rng(100 * d + grid)
-    cover = build_cover(d, 0.2, rng=np.random.default_rng(3))
+    cover = build_cover(d, 0.2)
     for _ in range(10):
         pts, qs = _grid_or_normal(rng, int(rng.integers(5, 40)), d, grid)
         s = Sample(pts)
@@ -385,7 +410,7 @@ def test_depth_counts_invariant_under_exact_scale_and_shift(d):
     rng = np.random.default_rng(77 + d)
     pts = rng.integers(-8, 9, size=(30, d)) / 4.0
     qs = np.vstack([pts[:6], rng.integers(-16, 17, size=(6, d)) / 8.0])
-    cover = build_cover(d, 0.2, rng=np.random.default_rng(3)) if d >= 2 else None
+    cover = build_cover(d, 0.2) if d >= 2 else None
 
     def counts(scale, shift):
         s = Sample(pts * scale + shift)
