@@ -46,9 +46,12 @@ _INLINE_CHARS = set("0123456789+-.eE, ;\t")
 
 def _parse_query(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(tok) for tok in text.split(",") if tok.strip()], dtype=float)
+        query = np.asarray([float(tok) for tok in text.split(",") if tok.strip()], dtype=float)
     except ValueError:
         raise ValueError(f"cannot parse query {text!r} as comma-separated numbers") from None
+    if not np.isfinite(query).all():
+        raise ValueError(f"query {text!r} has a non-finite coordinate")
+    return query
 
 
 def _parse_sample_arg(text: str) -> Sample:

@@ -99,6 +99,8 @@ class ExperimentConfig:
             pts = tuple(tuple(float(c) for c in row) for row in self.queries)
             if any(len(row) != self.dist.d for row in pts):
                 raise ValueError(f"every query must have dimension {self.dist.d}")
+            if not all(math.isfinite(c) for row in pts for c in row):
+                raise ValueError("every query must have finite coordinates")
             object.__setattr__(self, "queries", pts)
 
     def effective_psi(self) -> float | None:

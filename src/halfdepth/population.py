@@ -270,6 +270,8 @@ def population_depth(dist: DistributionSpec, q) -> float:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != dist.d:
         raise ValueError(f"query has dimension {q.shape[0]}, distribution has {dist.d}")
+    if not np.isfinite(q).all():
+        raise ValueError("query contains non-finite coordinates")
     if dist.family == "standard_normal":
         return float(_phi(-np.linalg.norm(q)))
     return float(_phi(-np.linalg.norm(dist.reduction.to_reduced(q))))

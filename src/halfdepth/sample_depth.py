@@ -33,6 +33,12 @@ NUDGE_RADIANS = 1e-7
 
 TWO_PI = 2.0 * math.pi
 
+# Polar angles within TIE_ANGLE of each other are one direction in the
+# planar sweep. The rounded antipode of one point's angle misses the
+# rounded angle of an exactly antipodal point by up to 1 ulp(2 pi), as
+# for q +- (4, 1) or q +- (2, 1); 8 ulp(2 pi), about 7e-15 rad, covers that.
+TIE_ANGLE = 8.0 * math.ulp(TWO_PI)
+
 
 @dataclass(frozen=True)
 class DepthValue:
@@ -171,77 +177,84 @@ def _query_radii(queries: np.ndarray, sample: Sample) -> np.ndarray:
     return np.sqrt(squares.max(axis=1))
 
 
+def _check_finite(queries: np.ndarray) -> None:
+    if not np.isfinite(queries).all():
+        raise ValueError("query contains non-finite coordinates")
+
+
 def depth_1d(q: float, sample: Sample) -> DepthValue:
     """Depth on the line: the smaller of the closed left and right counts."""
     if sample.dim != 1:
         raise ValueError(f"depth_1d requires a 1-dimensional sample, got d={sample.dim}")
     x = sample.points[:, 0]
     q = float(q)
+    if not math.isfinite(q):
+        raise ValueError("query contains non-finite coordinates")
     tol = TIE_RTOL * float(np.abs(x - q).max())
     left = int(np.count_nonzero(x <= q + tol))
     right = int(np.count_nonzero(x >= q - tol))
     return DepthValue(count=min(left, right), n=sample.n)
 
 
-def depth_exact_2d_many(queries, sample: Sample) -> np.ndarray:
-    """Exact planar depth counts for a (Q, 2) block of queries.
+def _planar_depth_counts(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Closed-halfplane depth counts of the origin in a stack of planar point sets.
 
-    Translate q to the origin and reduce each closed halfplane through q
-    to a closed half-circle of polar angles. The count of angles in a
-    closed arc of length pi is piecewise constant as the arc rotates and
-    only changes where an arc endpoint crosses a data angle, so the
-    minimum over all halfplanes is attained strictly between consecutive
-    critical angles. Evaluating the count at every such midpoint (via
-    binary search on the sorted angles) gives the exact minimum in
-    O(n log n) per query. Points within TIE_RTOL * R_q of q lie in every
-    closed halfplane and contribute a constant offset.
+    y0 and y1 are (B, n) coordinates, row b a point set centred on its
+    query. The complement of a closed half-circle of polar angles is an
+    open one, so the depth is the live count less the most an open
+    half-circle holds. Turned until it opens on a point, that is
+    max_i #{theta in [theta_i, theta_i + pi)} mod 2 pi: one left search of
+    each angle's antipode, n per row, O(n log n).
+
+    Ties: points within TIE_RTOL * R of the origin, R the row's largest
+    norm, count on every side. Angles within TIE_ANGLE are one direction:
+    a tie run (sorted angles with gaps of at most TIE_ANGLE, across the
+    0 / 2 pi seam too) opens one window, and a point within TIE_ANGLE
+    below an antipode counts as antipodal, outside it.
     """
+    b, n = y0.shape
+    norms = np.sqrt(y0 * y0 + y1 * y1)
+    coincident = norms <= TIE_RTOL * norms.max(axis=1, keepdims=True)
+    live = n - np.count_nonzero(coincident, axis=1)
+    # Row b holds its live angles in [0, 2 pi], sorted, then its coincident
+    # points parked at 4 pi, past every search key.
+    angles = np.arctan2(y1, y0)
+    angles = np.where(coincident, 2.0 * TWO_PI, np.where(angles < 0, angles + TWO_PI, angles))
+    angles.sort(axis=1)
+    ends = angles + (math.pi - TIE_ANGLE)
+    wrapped = ends >= TWO_PI
+    ends = np.where(wrapped, ends - TWO_PI, ends)
+    inside = np.empty((b, n), dtype=np.intp)
+    for row, key, found in zip(angles, ends, inside):
+        found[:] = np.searchsorted(row, key, side="left")
+    # A tie run starts where the gap to the previous angle exceeds
+    # TIE_ANGLE; the first angle's previous one is the last live angle,
+    # less 2 pi. A run that crosses the seam starts at the last run's
+    # start, less live. Window i runs from its run's start to ends[i], so
+    # it holds inside - starts points, plus live if it wraps past 2 pi.
+    rows, column = np.arange(b), np.arange(n)
+    previous = np.concatenate([angles[rows, live - 1, None] - TWO_PI, angles[:, :-1]], axis=1)
+    starts = np.maximum.accumulate(np.where(angles - previous > TIE_ANGLE, column, -1), axis=1)
+    starts = np.where(starts < 0, starts[rows, live - 1, None] - live[:, None], starts)
+    counts = inside - starts + live[:, None] * wrapped
+    return n - np.where(column < live[:, None], counts, 0).max(axis=1)
+
+
+def depth_exact_2d_many(queries, sample: Sample) -> np.ndarray:
+    """Exact planar depth counts for a (Q, 2) block of queries: the sweep of
+    Rousseeuw & Ruts (1996) over the sample centred on each query; see
+    _planar_depth_counts for the method and the tie rule."""
     if sample.dim != 2:
         raise ValueError(f"depth_exact_2d requires a 2-dimensional sample, got d={sample.dim}")
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != 2:
         raise ValueError(f"queries must be a (Q, 2) array, got shape {queries.shape}")
-    y0 = sample.points[:, 0] - queries[:, :1]
-    y1 = sample.points[:, 1] - queries[:, 1:]
-    norms = np.sqrt(y0 * y0 + y1 * y1)
-    coincident = norms <= TIE_RTOL * norms.max(axis=1, keepdims=True)
-    live = sample.n - np.count_nonzero(coincident, axis=1)
-    # Row r holds query r's live angles, sorted, then its coincident points
-    # parked at +inf. Angles are reduced to [0, 2 pi] by adding or
-    # subtracting 2 pi once, which gives exactly what np.mod gives on these
-    # ranges, in less time.
-    angles = np.arctan2(y1, y0)
-    angles = np.where(coincident, np.inf, np.where(angles < 0, angles + TWO_PI, angles))
-    angles.sort(axis=1)
-    antipodes = angles - math.pi
-    breaks = np.concatenate([angles, np.where(antipodes < 0, antipodes + TWO_PI, antipodes)], axis=1)
-    breaks.sort(axis=1)
-    # The arc after each distinct break runs to the next distinct one; the
-    # last live break wraps around to the first. Of a run of equal breaks
-    # only the last is evaluated, which is what np.unique would leave.
-    rows = np.arange(queries.shape[0])
-    last = 2 * live - 1
-    following = np.roll(breaks, -1, axis=1)
-    following[rows, last] = breaks[:, 0] + TWO_PI
-    column = np.arange(breaks.shape[1])
-    evaluated = (column <= last[:, None]) & ((following != breaks) | (column == last[:, None]))
-    with np.errstate(invalid="ignore"):
-        starts = breaks + 0.5 * (following - breaks)
-    starts = np.where(starts >= TWO_PI, starts - TWO_PI, starts)
-    ends = starts + math.pi
-    wrap = ends > TWO_PI
-    ends = np.where(wrap, ends - TWO_PI, ends)
-    lo = np.array([np.searchsorted(a, t, side="left") for a, t in zip(angles, starts)], dtype=np.intp)
-    hi = np.array([np.searchsorted(a, t, side="right") for a, t in zip(angles, ends)], dtype=np.intp)
-    lo, hi = lo.reshape(breaks.shape), hi.reshape(breaks.shape)
-    counts = np.where(wrap, (live[:, None] - lo) + hi, hi - lo)
-    least = np.where(evaluated, counts, sample.n).min(axis=1)
-    return (sample.n - live) + np.where(live > 0, least, 0)
+    _check_finite(queries)
+    return _planar_depth_counts(sample.points[:, 0] - queries[:, :1], sample.points[:, 1] - queries[:, 1:])
 
 
 def depth_exact_2d(q, sample: Sample) -> DepthValue:
-    """Exact planar depth by a rotating sweep over critical angles
-    (Rousseeuw & Ruts 1996); see depth_exact_2d_many."""
+    """Exact planar depth by the angular sweep of depth_exact_2d_many."""
     count = depth_exact_2d_many(np.reshape(q, (1, -1)), sample)[0]
     return DepthValue(count=int(count), n=sample.n)
 
@@ -316,6 +329,7 @@ def depth_brute(q, sample: Sample) -> DepthValue:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != sample.dim:
         raise ValueError(f"query has dimension {q.shape[0]}, sample has {sample.dim}")
+    _check_finite(q)
     if sample.dim == 1:
         return depth_1d(q[0], sample)
     y = sample.points - q
@@ -352,6 +366,7 @@ def depth_certified_many(
         raise ValueError(
             f"dimension mismatch: sample d={sample.dim}, queries {queries.shape}, cover {cover.d}"
         )
+    _check_finite(queries)
     d, m = sample.dim, cover.centers.shape[0]
     radius = _query_radii(queries, sample)
     # Projections are taken about x0 = points[0]. (x - x0).c and (q - x0).c

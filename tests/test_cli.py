@@ -133,6 +133,27 @@ def test_depth_input_errors(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "method, sample, query",
+    [
+        ("auto", "1,0;0,1;-1,0", "nan,0"),
+        ("exact2d", "1,0;0,1;-1,0", "inf,0"),
+        ("brute", "1,0;0,1;-1,0", "0,-inf"),
+        ("certified", "1,0;0,1;-1,0", "nan,0"),
+        ("approx", "1,0;0,1;-1,0", "0,nan"),
+        ("1d", "1,2,3", "nan"),
+        ("population", None, "nan,0"),
+    ],
+)
+def test_depth_rejects_non_finite_query(capsys, method, sample, query):
+    argv = ["depth", "--method", method, "--query", query]
+    if sample is not None:
+        argv += ["--sample", sample, "--psi", "0.3"] if method in ("certified", "approx") else ["--sample", sample]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "non-finite" in err
+
+
 def test_depth_out_file(capsys, tmp_path):
     target = tmp_path / "depth.json"
     code, out, _ = run_cli(

@@ -113,6 +113,9 @@ def test_config_validation():
         ExperimentConfig(dist=dist, n=1, eps=0.1, trials=1, seed=0, kinds=("zzz",))
     with pytest.raises(ValueError):
         ExperimentConfig(dist=dist, n=1, eps=0.1, trials=1, seed=0, queries=((1.0,),))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(dist=dist, n=1, eps=0.1, trials=1, seed=0, queries=((0.0, 0.0), (bad, 0.0)))
 
 
 def test_effective_psi_default():

@@ -191,6 +191,14 @@ def test_population_depth_one_dimensional():
     assert population_depth(dist, [2.0]) == pytest.approx(float(ndtr(-2.0)), rel=1e-12)
 
 
+def test_population_depth_rejects_non_finite_query():
+    sigma = np.array([[4.0, 1.0], [1.0, 2.0]])
+    for dist in (standard_normal(2), elliptical_normal(np.zeros(2), sigma)):
+        for q in ([np.nan, 0.0], [0.0, -np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                population_depth(dist, q)
+
+
 def test_tail_probability_bound_formula():
     dist = standard_normal(3)  # 3d - 5 = 4
     r = 2.5

@@ -127,6 +127,27 @@ def test_depth_1d_matches_counting_oracle():
         assert depth_1d(q, s).count == min(left, right)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_depth_methods_reject_non_finite_queries(bad):
+    # A NaN or infinite query used to compare false against every point
+    # and come out with maximal depth.
+    line, plane = Sample(np.array([1.0, 2.0, 3.0])), Sample(np.eye(2) - 0.25)
+    cover = build_cover(2, 0.3)
+    calls = [
+        lambda: depth_1d(bad, line),
+        lambda: depth_brute([bad], line),
+        lambda: depth_exact_2d([bad, 0.0], plane),
+        lambda: depth_exact_2d_many([[0.0, 0.0], [0.0, bad]], plane),
+        lambda: depth_brute([0.0, bad], plane),
+        lambda: depth_certified_many([[bad, 0.0]], plane, cover),
+        lambda: depth_certified([0.0, bad], plane, cover),
+        lambda: depth_approx([bad, bad], plane, cover),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
 def test_depth_1d_tie_tolerance():
     # a point within relative 1e-12 of q counts as on the boundary
     s = Sample(np.array([1.0, 1.0 + 1e-13, 2.0]))
