@@ -33,6 +33,13 @@ def _phi(x):
     return ndtr(x)
 
 
+def _phi_inverse(p):
+    """Standard normal quantile (ndtri): -inf at 0, +inf at 1."""
+    from scipy.special import ndtri
+
+    return ndtri(p)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A population the harness can sample from and score against.
@@ -248,16 +255,26 @@ def _projected_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarra
     return loc, np.sqrt(var)
 
 
-def cdf_projected_many(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized projected CDF: directions (m, d), t (..., m) -> same shape as t."""
+def _standardised(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The argument of Phi in the projected CDF, (t - loc) / scale.
+
+    loc and scale are the mean and standard deviation of <X, u> for each
+    direction u: directions (m, d), t (..., m) -> same shape as t. The
+    standard normal returns t itself.
+    """
     directions = np.asarray(directions, dtype=float)
     if directions.shape[-1] != dist.d:
         raise ValueError(f"direction has dimension {directions.shape[-1]}, distribution has {dist.d}")
     t = np.asarray(t, dtype=float)
     if dist.family == "standard_normal":
-        return _phi(t)
+        return t
     loc, scale = _projected_moments(dist, directions)
-    return _phi((t - loc) / scale)
+    return (t - loc) / scale
+
+
+def cdf_projected_many(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectorized projected CDF: directions (m, d), t (..., m) -> same shape as t."""
+    return _phi(_standardised(dist, directions, t))
 
 
 def population_depth(dist: DistributionSpec, q) -> float:

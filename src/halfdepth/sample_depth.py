@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import SphericalCover
-from .population import DistributionSpec, cdf_projected_many
+from .population import DistributionSpec, _phi, _phi_inverse, _standardised
 
 # Boundary membership is decided up to TIE_RTOL * R_q, R_q = max_i |x_i - q|
 # the spread of the sample about the query, so that ties do not depend on
@@ -434,10 +434,42 @@ def _ks_per_column(f: np.ndarray) -> np.ndarray:
     one; each fresh one costs page faults on every call.
     """
     n = f.shape[0]
-    i = np.arange(1, n + 1, dtype=float)[:, None]
+    return _ks_terms(f, np.arange(1, n + 1, dtype=float)[:, None], n).max(axis=0)
+
+
+def _ks_terms(f: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
+    """The larger KS term max(F - (i-1)/n, i/n - F) of each entry of f.
+
+    f holds the CDF at order statistics of a sample of n, and i (a column)
+    their 1-based ranks. f is overwritten.
+    """
     below = f - (i - 1.0) / n
     above = np.subtract(i / n, f, out=f)
-    return np.maximum(below, above, out=below).max(axis=0)
+    return np.maximum(below, above, out=below)
+
+
+# Probability margin of the rank thresholds, far above the rounding of
+# ndtr and ndtri.
+_KS_MARGIN = 1e-9
+
+# sup_deviation's lower bound is the exact KS over every _BOUND_STRIDE-th
+# direction.
+_BOUND_STRIDE = 8
+
+
+def _ks_rank_thresholds(n: int, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Standardised values past which rank i's KS terms can exceed bound.
+
+    With L' = bound - _KS_MARGIN, F(u) - (i-1)/n > bound needs
+    u > Phi^-1((i-1)/n + L') = high[i-1], and i/n - F(u) > bound needs
+    u < Phi^-1(i/n - L') = low[i-1]. The arguments are clipped to [0, 1],
+    so a term that cannot exceed the bound at any u gets +inf or -inf.
+    """
+    i = np.arange(1, n + 1, dtype=float)
+    margin = bound - _KS_MARGIN
+    high = _phi_inverse(np.clip((i - 1.0) / n + margin, 0.0, 1.0))
+    low = _phi_inverse(np.clip(i / n - margin, 0.0, 1.0))
+    return high, low
 
 
 def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover | None) -> float:
@@ -448,18 +480,33 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     is needed). This is a lower estimate of the supremum over all
     directions; the gap is controlled by the cover radius and the
     distribution's Lipschitz constants.
+
+    Phi is evaluated only where a term can beat a lower bound L, the exact
+    KS over every 8th direction. With u the sorted projections standardised
+    by each direction's moments (the argument of Phi in
+    `cdf_projected_many`) and L' = L - 1e-9, rank i's terms
+    F(u) - (i-1)/n and i/n - F(u) can exceed L only if
+    u > Phi^-1((i-1)/n + L') or u < Phi^-1(i/n - L'), with the arguments
+    clipped to [0, 1]. The 1e-9 margin is far above the rounding of ndtr
+    and ndtri. Only the ranks with an entry past either threshold are
+    scored. The winning term is always among the terms computed, so the
+    result is the maximum over all n*m terms bit for bit.
     """
     if sample.dim != dist.d:
         raise ValueError(f"sample has dimension {sample.dim}, distribution has {dist.d}")
     if sample.dim == 1:
-        axis = np.array([[1.0]])
-        z = np.sort(sample.points, axis=0)
-        f = cdf_projected_many(dist, axis, z)
-        return float(_ks_per_column(f)[0])
-    if cover is None:
+        centers = np.array([[1.0]])
+    elif cover is None:
         raise ValueError(f"a cover is required for d={sample.dim}")
-    if cover.d != sample.dim:
+    elif cover.d != sample.dim:
         raise ValueError(f"cover has dimension {cover.d}, sample has {sample.dim}")
-    z = np.sort(sample.points @ cover.centers.T, axis=0)
-    f = cdf_projected_many(dist, cover.centers, z)
-    return float(_ks_per_column(f).max())
+    else:
+        centers = cover.centers
+    z = sample.points @ centers.T
+    z.sort(axis=0)
+    u = _standardised(dist, centers, z)
+    n = sample.n
+    bound = float(_ks_per_column(_phi(u[:, ::_BOUND_STRIDE])).max())
+    high, low = _ks_rank_thresholds(n, bound)
+    rows = np.flatnonzero((u.max(axis=1) > high) | (u.min(axis=1) < low))
+    return float(_ks_terms(_phi(u[rows]), rows[:, None] + 1.0, n).max(initial=bound))

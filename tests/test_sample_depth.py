@@ -509,6 +509,9 @@ def test_sup_deviation_1d_is_ks():
     dist = standard_normal(1)
     expected = kstest(x, "norm").statistic
     assert sup_deviation(s, dist, None) == pytest.approx(expected, rel=1e-12)
+    from scipy.special import ndtr
+
+    assert sup_deviation(s, dist, None) == ks_statistic(x, ndtr(x))
 
 
 def test_sup_deviation_monotone_under_refinement():
