@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,15 +151,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-trial outcome. wall_time is diagnostic only and never written
-    to the deterministic output files."""
+    """Per-trial outcome."""
 
     index: int
     sup_deviation: float
     query_errors: tuple[float, ...]
     interval_widths: tuple[float, ...]
     slack_margin: float | None
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,6 @@ def auto_queries(dist: DistributionSpec) -> np.ndarray:
 
 
 def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(split_seed(cfg.seed, index))
     sample = draw_sample(cfg.dist, cfg.n, rng)
     sup = sup_deviation(sample, cfg.dist, cover)
@@ -267,7 +263,6 @@ def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
         query_errors=tuple(errors),
         interval_widths=tuple(widths),
         slack_margin=slack_margin,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -375,37 +370,42 @@ def run_bound_sweep(
     constants are the other BoundParams fields (lam, c1, lpi, ltheta, c2,
     r, delta); an omitted one takes the BoundParams default.
 
+    One validated BoundParams is built per (n, eps) point, n-major, before
+    any bound is evaluated, and every kind reuses it; so a bad grid value
+    raises BoundParams' ValueError before the first row. Rows run
+    kind-major, then n, then eps.
+
     Rows record the value, vacuous and applicability flags, a compact
     precondition summary, the implied exceedance bound, and (for the vc2
     and theorem kinds) the coefficient improvement factor n^((d+7)/2)
     separating the two routes.
     """
+    points = [
+        BoundParams(n=int(n), eps=float(eps), d=d, **constants) for n in n_values for eps in eps_values
+    ]
     rows = []
     for kind in kinds:
-        for n in n_values:
-            for eps in eps_values:
-                params = BoundParams(n=int(n), eps=float(eps), d=d, **constants)
-                report = evaluate_bound(kind, params, sharp2d=sharp2d, exact_m=exact_m)
-                pre = ";".join(
-                    f"{p.name}={'ok' if p.satisfied else 'violated'}" for p in report.preconditions
-                )
-                rows.append(
-                    {
-                        "kind": kind,
-                        "n": int(n),
-                        "eps": float(eps),
-                        "d": d,
-                        "value": report.value,
-                        "bound_type": report.bound_type,
-                        "vacuous": report.vacuous,
-                        "applicable": report.applicable,
-                        "preconditions": pre,
-                        "exceedance_bound": report.exceedance_bound(),
-                        "improvement_factor": improvement_factor(int(n), d)
-                        if kind in ("vc2", "theorem") and d >= 2
-                        else "",
-                    }
-                )
+        with_factor = kind in ("vc2", "theorem") and d >= 2
+        for params in points:
+            report = evaluate_bound(kind, params, sharp2d=sharp2d, exact_m=exact_m)
+            pre = ";".join(
+                f"{p.name}={'ok' if p.satisfied else 'violated'}" for p in report.preconditions
+            )
+            rows.append(
+                {
+                    "kind": kind,
+                    "n": params.n,
+                    "eps": params.eps,
+                    "d": d,
+                    "value": report.value,
+                    "bound_type": report.bound_type,
+                    "vacuous": report.vacuous,
+                    "applicable": report.applicable,
+                    "preconditions": pre,
+                    "exceedance_bound": report.exceedance_bound(),
+                    "improvement_factor": improvement_factor(params.n, d) if with_factor else "",
+                }
+            )
     return rows
 
 
@@ -433,7 +433,7 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
 
 
 def results_csv(result: ExperimentResult) -> str:
-    """Deterministic per-trial table; excludes wall-clock fields on purpose."""
+    """Deterministic per-trial table."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "sup_deviation", "max_query_error", "mean_query_error", "max_interval_width"])

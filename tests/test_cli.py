@@ -280,6 +280,18 @@ def test_bound_sweep_bad_spec(capsys):
     assert code == 1
 
 
+def test_bound_sweep_bad_grid_value_writes_nothing(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--kind", "dkw", "--n", "300", "--eps", "0.1",
+        "--sweep", "eps=0..0.5",
+    )
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: eps must be in (0, 1], got 0.0"
+    ]
+
+
 # --------------------------------------------------------------- experiment
 
 

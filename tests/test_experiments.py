@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import halfdepth.experiments as expmod
+from halfdepth.bounds import BOUND_KINDS, BoundParams, evaluate_bound, improvement_factor
 from halfdepth.experiments import (
     ExperimentConfig,
     auto_queries,
@@ -343,6 +344,107 @@ def test_sweep_deterministic():
     a = run_bound_sweep(["theorem"], [10, 100], [0.1], d=3, **kwargs)
     b = run_bound_sweep(["theorem"], [10, 100], [0.1], d=3, **kwargs)
     assert sweep_rows_to_csv(a) == sweep_rows_to_csv(b)
+
+
+def _per_row_sweep(kinds, n_values, eps_values, d, sharp2d=False, exact_m=False, **constants):
+    """The reference loop: one BoundParams and one evaluate_bound per (kind, n, eps)."""
+    rows = []
+    for kind in kinds:
+        for n in n_values:
+            for eps in eps_values:
+                params = BoundParams(n=int(n), eps=float(eps), d=d, **constants)
+                report = evaluate_bound(kind, params, sharp2d=sharp2d, exact_m=exact_m)
+                pre = ";".join(
+                    f"{p.name}={'ok' if p.satisfied else 'violated'}" for p in report.preconditions
+                )
+                rows.append(
+                    {
+                        "kind": kind,
+                        "n": int(n),
+                        "eps": float(eps),
+                        "d": d,
+                        "value": report.value,
+                        "bound_type": report.bound_type,
+                        "vacuous": report.vacuous,
+                        "applicable": report.applicable,
+                        "preconditions": pre,
+                        "exceedance_bound": report.exceedance_bound(),
+                        "improvement_factor": improvement_factor(int(n), d)
+                        if kind in ("vc2", "theorem") and d >= 2
+                        else "",
+                    }
+                )
+    return rows
+
+
+_OTHER_CONSTANTS = dict(lam=0.7, c1=2.5, lpi=0.3, ltheta=0.2, c2=3.0)
+
+
+@pytest.mark.parametrize(
+    "d, flags, constants",
+    [
+        (2, dict(sharp2d=True, exact_m=True), dict(r=3.0, delta=0.5)),
+        (2, dict(sharp2d=False, exact_m=False), dict(r=3.0, delta=0.5)),
+        (2, dict(sharp2d=True, exact_m=True), dict(_OTHER_CONSTANTS, r=2.2, delta=0.01)),
+        (2, dict(sharp2d=False, exact_m=False), dict(_OTHER_CONSTANTS, r=4.0, delta=1.5)),
+        (3, dict(), dict(r=3.0, delta=0.5)),
+        (3, dict(), dict(_OTHER_CONSTANTS, r=2.2, delta=0.01)),
+    ],
+    ids=["d2-sharp", "d2-generic", "d2-sharp-constants", "d2-generic-constants",
+         "d3", "d3-constants"],
+)
+def test_sweep_rows_equal_the_per_row_loop(d, flags, constants):
+    args = (BOUND_KINDS, np.array([4, 60, 999, 5000]), [0.03, 0.12, 0.5, 1.0], d)
+    rows = run_bound_sweep(*args, **flags, **constants)
+    want = _per_row_sweep(*args, **flags, **constants)
+    assert len(rows) == len(BOUND_KINDS) * 16
+    assert rows == want
+    assert sweep_rows_to_csv(rows).encode() == sweep_rows_to_csv(want).encode()
+
+
+def test_sweep_builds_each_point_once_and_evaluates_each_row_once(monkeypatch):
+    # bench/tracing.py and bench/setup_probe.py hook experiments.evaluate_bound
+    # by name, so every row must go through that global.
+    built, evaluated = [], []
+    real_params, real_evaluate = expmod.BoundParams, expmod.evaluate_bound
+
+    def counting_params(*args, **kwargs):
+        built.append((kwargs["n"], kwargs["eps"]))
+        return real_params(*args, **kwargs)
+
+    def counting_evaluate(kind, params, *args, **kwargs):
+        evaluated.append((kind, params.n, params.eps))
+        return real_evaluate(kind, params, *args, **kwargs)
+
+    monkeypatch.setattr(expmod, "BoundParams", counting_params)
+    monkeypatch.setattr(expmod, "evaluate_bound", counting_evaluate)
+    rows = run_bound_sweep(BOUND_KINDS, [50, 400, 3000], [0.05, 0.2], d=2, r=3.0, delta=0.5)
+    assert built == [(n, eps) for n in (50, 400, 3000) for eps in (0.05, 0.2)]
+    assert evaluated == [(row["kind"], row["n"], row["eps"]) for row in rows]
+    assert len(evaluated) == len(BOUND_KINDS) * 6
+
+
+@pytest.mark.parametrize(
+    "n_values, eps_values, message",
+    [
+        ([300], [0.1, 0.0], "eps must be in (0, 1], got 0.0"),
+        ([300, 0], [0.1], "n must be >= 1, got 0"),
+    ],
+    ids=["eps", "n"],
+)
+def test_sweep_bad_grid_value_fails_before_any_row(monkeypatch, n_values, eps_values, message):
+    evaluated = []
+    real_evaluate = expmod.evaluate_bound
+
+    def counting_evaluate(*args, **kwargs):
+        evaluated.append(args[0])
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(expmod, "evaluate_bound", counting_evaluate)
+    with pytest.raises(ValueError) as excinfo:
+        run_bound_sweep(["dkw", "theorem"], n_values, eps_values, d=2)
+    assert excinfo.value.args == (message,)
+    assert evaluated == []
 
 
 def test_default_sweep_grid():

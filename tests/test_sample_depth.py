@@ -2,10 +2,13 @@
 
 import json
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from halfdepth.geometry import SphericalCover, build_cover
@@ -397,6 +400,40 @@ def test_depth_certified_4d_contains_brute(grid):
             assert depth_approx(q, s, cover).count >= brute.count
             iv = depth_certified(q, s, cover)
             assert iv.lower <= brute.value <= iv.upper
+
+
+@lru_cache(maxsize=None)
+def _property_cover(d):
+    """83 centers in d=3 at psi=0.3; the 512-center cube-face grid in d=4 at psi=0.5."""
+    return build_cover(d, 0.3 if d == 3 else 0.5)
+
+
+@settings(max_examples=80)
+@given(
+    d=st.sampled_from([3, 4]),
+    n=st.integers(min_value=1, max_value=10),
+    grid=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certified_contains_brute_and_approx_bounds_it(d, n, grid, seed):
+    # Queries: a sample point and a point off the sample. On the integer
+    # grid a duplicated row and half-integer queries put projections
+    # exactly on the thresholds.
+    rng = np.random.default_rng(seed)
+    cover = _property_cover(d)
+    if grid:
+        pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+        pts[n // 2] = pts[0]
+        qs = np.vstack([pts[:1], rng.integers(-4, 5, size=(1, d)) / 2.0])
+    else:
+        pts = rng.normal(size=(n, d))
+        qs = np.vstack([pts[:1], rng.normal(size=(1, d)) * 0.5])
+    s = Sample(pts)
+    for q in qs:
+        brute = depth_brute(q, s)
+        iv = depth_certified(q, s, cover)
+        assert iv.lower <= brute.value <= iv.upper
+        assert depth_approx(q, s, cover).count >= brute.count
 
 
 def _grid_or_normal(rng, n, d, grid):
