@@ -9,6 +9,13 @@ that records preconditions, intermediate quantities, and whether the
 result says anything at all (a probability lower bound <= 0, or a
 deviation upper bound >= 1, is vacuous but never an error).
 
+The evaluators work on arrays first: n and eps may be equal-shape arrays
+(a grid of points), and one call evaluates every point, with array fields
+in the report. A scalar n and eps is a one-point grid whose report holds
+Python floats and bools. Arithmetic runs in numpy; every log, exp, power
+and lgamma goes through Python's math one element at a time, so a grid
+point has exactly the bits of its scalar evaluation.
+
 All products of large coefficients with tiny exponentials are evaluated
 in log space, so sweeps over extreme parameters stay finite.
 """
@@ -22,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import log_covering_count, max_cover_radius
+from .geometry import _libm, log_covering_count, max_cover_radius
 from .population import SQRT_2PI, DistributionSpec
 
 # exp() clamp: beyond this the penalty is astronomically vacuous anyway,
@@ -32,8 +39,13 @@ _EXP_CLAMP = 700.0
 BOUND_KINDS = ("vc1", "vc2", "dkw", "prop-r-delta", "cor-delta", "theorem", "bivariate")
 
 
-def _exp_clamped(z: float) -> float:
-    return math.exp(min(z, _EXP_CLAMP))
+def _exp_clamped(z) -> np.ndarray:
+    return _libm(math.exp, np.minimum(z, _EXP_CLAMP))
+
+
+def _first(values, bad):
+    """The first element of values where bad holds, as a Python scalar."""
+    return np.asarray(values).flat[int(np.argmax(bad))].item()
 
 
 @dataclass(frozen=True)
@@ -41,9 +53,9 @@ class Precondition:
     """One recorded validity condition: satisfied iff lhs < rhs."""
 
     name: str
-    satisfied: bool
-    lhs: float
-    rhs: float
+    satisfied: bool | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
     def to_dict(self) -> dict:
         return {"name": self.name, "satisfied": self.satisfied, "lhs": self.lhs, "rhs": self.rhs}
@@ -51,27 +63,32 @@ class Precondition:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one bound evaluation.
+    """Outcome of one bound evaluation, at one point or over a grid.
 
     bound_type is "probability_lower" (value lower-bounds Pr(sup <= eps))
     or "deviation_upper" (value upper-bounds Pr(sup > eps)). vacuous marks
     values with no content; applicable is the conjunction of the recorded
     preconditions. Values are still computed when preconditions fail.
+    For a grid, value, the flags, the preconditions' satisfied, lhs and
+    rhs, and every intermediate are arrays of the grid's shape; for a
+    scalar point they are Python floats and bools.
     """
 
     kind: str
     bound_type: str
-    value: float
-    vacuous: bool
-    applicable: bool
+    value: float | np.ndarray
+    vacuous: bool | np.ndarray
+    applicable: bool | np.ndarray
     preconditions: tuple[Precondition, ...]
-    intermediates: Mapping[str, float]
+    intermediates: Mapping[str, float | np.ndarray]
     caveats: tuple[str, ...] = ()
 
-    def exceedance_bound(self) -> float:
+    def exceedance_bound(self):
         """The implied upper bound on Pr(sup > eps), clipped into [0, 1]."""
-        raw = self.value if self.bound_type == "deviation_upper" else 1.0 - self.value
-        return float(min(1.0, max(0.0, raw)))
+        raw = self.value if self.bound_type == "deviation_upper" else 1.0 - np.asarray(self.value)
+        raw = np.where(raw > 0.0, raw, 0.0)
+        clipped = np.where(raw < 1.0, raw, 1.0)
+        return clipped if clipped.ndim else clipped.item()
 
     def to_dict(self) -> dict:
         return {
@@ -90,15 +107,18 @@ class BoundReport:
 class BoundParams:
     """Inputs shared by the bound evaluators.
 
-    lam, c1 describe the radial tail envelope c1 * R^(3d-5) * e^(-lam R^2/2);
-    lpi bounds every projected density; ltheta the direction-Lipschitz
-    constant of the projected CDF family; c2 is the covering-count leading
-    constant (default 1, uncalibrated, and reported in every evaluation).
-    r and delta are the free radius and margin parameters where required.
+    n and eps are one point (an int and a float) or a grid of points
+    (equal-shape arrays); the grid is validated once, and its first bad
+    point is named in the error. lam, c1 describe the radial tail envelope
+    c1 * R^(3d-5) * e^(-lam R^2/2); lpi bounds every projected density;
+    ltheta the direction-Lipschitz constant of the projected CDF family; c2
+    is the covering-count leading constant (default 1, uncalibrated, and
+    reported in every evaluation). r and delta are the free radius and
+    margin parameters where required.
     """
 
-    n: int
-    eps: float
+    n: int | np.ndarray
+    eps: float | np.ndarray
     d: int = 2
     lam: float = 1.0
     c1: float = 1.0
@@ -109,10 +129,15 @@ class BoundParams:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (0.0 < self.eps <= 1.0):
-            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
+        n, eps = np.asarray(self.n), np.asarray(self.eps)
+        if n.shape != eps.shape:
+            raise ValueError(f"n and eps must have one shape, got {n.shape} and {eps.shape}")
+        bad_n = n < 1
+        bad = bad_n | ~((0.0 < eps) & (eps <= 1.0))
+        if bad.any():
+            if _first(bad_n, bad):
+                raise ValueError(f"n must be >= 1, got {_first(n, bad)}")
+            raise ValueError(f"eps must be in (0, 1], got {_first(eps, bad)}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         for name in ("lam", "c1", "lpi", "c2"):
@@ -139,11 +164,44 @@ class BoundParams:
         )
 
 
+def _flat(params: BoundParams) -> tuple[np.ndarray, np.ndarray]:
+    """(n, eps) as flat float arrays over the grid, point by point."""
+    return np.ravel(params.n).astype(float), np.ravel(params.eps).astype(float)
+
+
+def _report(params: BoundParams, kind: str, bound_type: str, value, pre, inter, caveats=()) -> BoundReport:
+    """A report shaped like params' grid from flat per-point arrays and
+    constants; a scalar point gets Python scalars."""
+    shape = np.shape(params.n)
+    size = math.prod(shape)
+
+    def shaped(x):
+        if not shape:
+            return np.asarray(x).item()
+        if np.ndim(x) == 0:
+            return np.full(shape, x)
+        return x if x.shape == shape else x.reshape(shape)
+
+    applicable = np.ones(size, dtype=bool)
+    for p in pre:
+        applicable = applicable & p.satisfied
+    return BoundReport(
+        kind=kind,
+        bound_type=bound_type,
+        value=shaped(value),
+        vacuous=shaped(value >= 1.0 if bound_type == "deviation_upper" else value <= 0.0),
+        applicable=shaped(applicable),
+        preconditions=tuple(Precondition(p.name, shaped(p.satisfied), shaped(p.lhs), shaped(p.rhs)) for p in pre),
+        intermediates={key: shaped(x) for key, x in inter.items()},
+        caveats=caveats,
+    )
+
+
 def shatter_upper(r: int, d: int) -> float:
     """Upper bound (3/2) r^(d+1) / (d+1)! on halfspace subset counts."""
     if r < 1 or d < 1:
         raise ValueError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
-    return _log_shatter(r, d, exact_m=False)[1]
+    return _log_shatter([r], d, exact_m=False)[1].item()
 
 
 def shatter_exact_2d(r: int) -> int:
@@ -213,57 +271,62 @@ def regular_polygon(r: int, radius: float = 1.0) -> np.ndarray:
     return radius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def _log_shatter(r: int, d: int, exact_m: bool) -> tuple[float, float]:
-    """(log m, m clamped to float) for the chosen shatter count."""
+def _log_shatter(r: list[int], d: int, exact_m: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(log m, m clamped to float) of the chosen shatter count at each
+    argument in r, a list of Python ints so the exact count stays exact."""
     if exact_m:
         if d != 2:
             raise ValueError("the exact planar subset count applies only to d=2")
-        m = shatter_exact_2d(r)
-        return math.log(m), float(m)
-    log_m = math.log(1.5) + (d + 1) * math.log(r) - math.lgamma(d + 2)
+        m = [shatter_exact_2d(v) for v in r]
+        return _libm(math.log, m), _libm(float, m)
+    log_m = math.log(1.5) + (d + 1) * _libm(math.log, r) - math.lgamma(d + 2)
     return log_m, _exp_clamped(log_m)
 
 
-def _vc_report(kind: str, params: BoundParams, r: int, exponent: float, exact_m: bool) -> BoundReport:
+def _vc_report(kind: str, params: BoundParams, r: list[int], exponent, exact_m: bool) -> BoundReport:
     log_m, m_value = _log_shatter(r, params.d, exact_m)
-    log_value = math.log(4.0) + log_m + exponent
-    value = _exp_clamped(log_value)
-    return BoundReport(
-        kind=kind,
-        bound_type="deviation_upper",
-        value=value,
-        vacuous=value >= 1.0,
-        applicable=True,
-        preconditions=(),
-        intermediates={
-            "shatter_argument": float(r),
+    value = _exp_clamped(math.log(4.0) + log_m + exponent)
+    return _report(
+        params,
+        kind,
+        "deviation_upper",
+        value,
+        (),
+        {
+            "shatter_argument": _libm(float, r),
             "shatter_count": m_value,
             "exponent": exponent,
             "probability_lower_bound": 1.0 - value,
             "coefficient_degree": float(2 * params.d + 2),
             "exact_shatter_2d": 1.0 if exact_m else 0.0,
         },
-        caveats=("asymptotic_in_n",),
+        ("asymptotic_in_n",),
     )
 
 
 def vc_bound_double_sample(params: BoundParams, exact_m: bool = False) -> BoundReport:
     """Deviation bound 4 m(2n) exp(-n eps^2 / 8) from the double-sample trick."""
-    return _vc_report("vc1", params, 2 * params.n, -params.n * params.eps**2 / 8.0, exact_m)
+    n, eps = _flat(params)
+    r = [2 * v for v in np.ravel(params.n).tolist()]
+    return _vc_report("vc1", params, r, -n * _libm(pow, eps, 2) / 8.0, exact_m)
 
 
 def vc_bound_squared_sample(params: BoundParams, exact_m: bool = False) -> BoundReport:
     """Deviation bound 4 m(n^2) exp(-2 n eps^2), the sharper-exponent variant."""
-    return _vc_report("vc2", params, params.n * params.n, -2.0 * params.n * params.eps**2, exact_m)
+    n, eps = _flat(params)
+    r = [v * v for v in np.ravel(params.n).tolist()]
+    return _vc_report("vc2", params, r, -2.0 * n * _libm(pow, eps, 2), exact_m)
 
 
-def dkw_bound(n: int, eps: float) -> float:
-    """One-dimensional uniform CDF deviation bound 2 exp(-2 n eps^2)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    return 2.0 * math.exp(-2.0 * n * eps * eps)
+def dkw_bound(n, eps):
+    """One-dimensional uniform CDF deviation bound 2 exp(-2 n eps^2), at a
+    point or over equal-shape arrays of n and eps."""
+    if np.any(np.less(n, 1)):
+        raise ValueError(f"n must be >= 1, got {_first(n, np.less(n, 1))}")
+    if np.any(np.less(eps, 0)):
+        raise ValueError(f"eps must be nonnegative, got {_first(eps, np.less(eps, 0))}")
+    value = 2.0 * _libm(math.exp, -2.0 * np.asarray(n, dtype=float) * eps * eps)
+    return value if value.ndim else value.item()
 
 
 def _require(params: BoundParams, *names: str) -> None:
@@ -274,23 +337,24 @@ def _require(params: BoundParams, *names: str) -> None:
         raise ValueError(f"the covering-route bounds require d >= 2, got d={params.d}")
 
 
-def _cover_log_coef(params: BoundParams, psi_eff: float, sharp2d: bool) -> tuple[float, float]:
+def _cover_log_coef(params: BoundParams, psi_eff, sharp2d: bool):
     """(log of 2*count, count) for the direction-cover penalty coefficient."""
     d = params.d
     if sharp2d:
         if d != 2:
             raise ValueError("sharp-2d mode applies only to d=2")
         count = math.pi / psi_eff + 1.0
-        return math.log(2.0) + math.log(count), count
+        return math.log(2.0) + _libm(math.log, count), count
     log_count = math.log(params.c2) + log_covering_count(d, psi_eff)
     return math.log(2.0) + log_count, _exp_clamped(log_count)
 
 
 def _covering_route(
-    params: BoundParams, r: float, delta: float, sharp2d: bool, balanced: bool, relaxed: bool
-) -> tuple[float, tuple[Precondition, ...], dict]:
+    params: BoundParams, r, delta, sharp2d: bool, balanced: bool, relaxed: bool
+) -> tuple[np.ndarray, tuple[Precondition, ...], dict]:
     """(value, preconditions, intermediates) of the covering-route bound at
-    tail radius r and margin delta; see bound_free_params for its form.
+    tail radius r and margin delta (each a float or per-point array), as
+    flat per-point arrays; see bound_free_params for its form.
 
     balanced: r is the balanced radius, where the tail exponential equals
     the per-direction one, so both penalties share one exponent. relaxed
@@ -299,7 +363,8 @@ def _covering_route(
     The value at the strict exponent, from the same log-coefficients, is
     kept as strict_delta_value, so the relaxed value never exceeds it.
     """
-    n, eps, d = params.n, params.eps, params.d
+    n, eps = _flat(params)
+    d = params.d
     psi_eff = eps * delta / ((1.0 + delta) * (params.ltheta + params.lpi * r))
     limit = max_cover_radius(d)
     pre = (
@@ -308,10 +373,10 @@ def _covering_route(
     )
     log_cover_coef, count = _cover_log_coef(params, psi_eff, sharp2d)
     if sharp2d:
-        log_tail_coef = math.log(n)
+        log_tail_coef = _libm(math.log, n)
     else:
-        log_tail_coef = math.log(params.c1) + math.log(n) + (3 * d - 5) * math.log(r)
-    exponent = -2.0 * n * eps * eps / (1.0 + delta) ** 2
+        log_tail_coef = math.log(params.c1) + _libm(math.log, n) + (3 * d - 5) * _libm(math.log, r)
+    exponent = -2.0 * n * eps * eps / _libm(pow, 1.0 + delta, 2)
     tail_exponent = exponent if balanced else -params.lam * r * r / 2.0
     inter = {"psi_eff": psi_eff, "cover_count": count, "C2": params.c2, "delta": delta}
     if relaxed:
@@ -334,19 +399,6 @@ def _covering_route(
     return value, pre, inter
 
 
-def _probability_lower_report(kind: str, route: tuple) -> BoundReport:
-    value, pre, inter = route
-    return BoundReport(
-        kind=kind,
-        bound_type="probability_lower",
-        value=value,
-        vacuous=value <= 0.0,
-        applicable=all(p.satisfied for p in pre),
-        preconditions=pre,
-        intermediates=inter,
-    )
-
-
 def bound_free_params(params: BoundParams, sharp2d: bool = False) -> BoundReport:
     """Probability lower bound with both the tail radius R and margin delta free.
 
@@ -359,14 +411,14 @@ def bound_free_params(params: BoundParams, sharp2d: bool = False) -> BoundReport
     with the exact planar Gaussian tail n * exp(-lam R^2 / 2).
     """
     _require(params, "r", "delta")
-    return _probability_lower_report(
-        "prop-r-delta", _covering_route(params, params.r, params.delta, sharp2d, False, False)
-    )
+    value, pre, inter = _covering_route(params, params.r, params.delta, sharp2d, False, False)
+    return _report(params, "prop-r-delta", "probability_lower", value, pre, inter)
 
 
-def _balanced_radius(params: BoundParams, delta: float) -> float:
+def _balanced_radius(params: BoundParams, delta):
     """R equating the tail exponential with the per-direction one."""
-    return 2.0 * params.eps * math.sqrt(params.n) / (math.sqrt(params.lam) * (1.0 + delta))
+    n, eps = _flat(params)
+    return 2.0 * eps * np.sqrt(n) / (math.sqrt(params.lam) * (1.0 + delta))
 
 
 def bound_balanced_tail(params: BoundParams, sharp2d: bool = False) -> BoundReport:
@@ -380,13 +432,12 @@ def bound_balanced_tail(params: BoundParams, sharp2d: bool = False) -> BoundRepo
     """
     _require(params, "delta")
     delta = params.delta
-    return _probability_lower_report(
-        "cor-delta", _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, False)
-    )
+    value, pre, inter = _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, False)
+    return _report(params, "cor-delta", "probability_lower", value, pre, inter)
 
 
 def _theorem_route(params: BoundParams, sharp2d: bool) -> tuple:
-    delta = 1.0 / params.n
+    delta = 1.0 / _flat(params)[0]
     return _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, True)
 
 
@@ -406,10 +457,11 @@ def bound_parameter_free(params: BoundParams, sharp2d: bool = False) -> BoundRep
     value, reported as strict_delta_value, so this value never exceeds it.
     """
     _require(params)
-    return _probability_lower_report("theorem", _theorem_route(params, sharp2d))
+    value, pre, inter = _theorem_route(params, sharp2d)
+    return _report(params, "theorem", "probability_lower", value, pre, inter)
 
 
-def bound_bivariate_normal(n: int, eps: float) -> float:
+def bound_bivariate_normal(n, eps):
     """Fully explicit bound for the planar standard normal:
 
     1 - (2 sqrt(2 pi) n^(3/2) + n + 2) e^4 exp(-2 n eps^2).
@@ -418,50 +470,54 @@ def bound_bivariate_normal(n: int, eps: float) -> float:
     whose defaults are the standard normal's constants: the exact circle
     covering count and the exact planar Gaussian tail.
     """
-    return _theorem_route(BoundParams(n=n, eps=eps, d=2), sharp2d=True)[0]
+    return _bivariate_report(BoundParams(n=n, eps=eps, d=2)).value
 
 
-def improvement_factor(n: int, d: int) -> float:
-    """Coefficient improvement n^((d+7)/2) of the covering route over the VC route.
+def improvement_factor(n, d: int):
+    """Coefficient improvement n^((d+7)/2) of the covering route over the VC route,
+    at one n or over an array of them.
 
     The VC coefficient degree is 2d+2 and the covering-route degree is
-    3(d-1)/2; the difference is (d+7)/2 exactly.
+    3(d-1)/2; the difference is (d+7)/2 exactly. Like every other bound
+    quantity, the factor is clamped at e^700 once its log passes 700.
     """
-    if n < 1 or d < 2:
-        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    return float(n) ** ((d + 7) / 2)
+    if d < 2 or np.any(np.less(n, 1)):
+        raise ValueError(f"need n >= 1 and d >= 2, got n={_first(n, np.less(n, 1))}, d={d}")
+    power = (d + 7) / 2
+    clamped = power * _libm(math.log, n) > _EXP_CLAMP
+    base = np.where(clamped, 1.0, np.asarray(n, dtype=float))
+    factor = np.where(clamped, math.exp(_EXP_CLAMP), _libm(pow, base, power))
+    return factor if factor.ndim else factor.item()
 
 
 def _bivariate_report(params: BoundParams) -> BoundReport:
     value, _, inter = _theorem_route(BoundParams(n=params.n, eps=params.eps, d=2), sharp2d=True)
-    return BoundReport(
-        kind="bivariate",
-        bound_type="probability_lower",
-        value=value,
-        vacuous=value <= 0.0,
-        applicable=params.d == 2,
-        preconditions=(Precondition("planar", params.d == 2, float(abs(params.d - 2)), 0.5),),
-        intermediates={
-            "coefficient": 2.0 * inter["cover_count"] + params.n,
+    return _report(
+        params,
+        "bivariate",
+        "probability_lower",
+        value,
+        (Precondition("planar", params.d == 2, float(abs(params.d - 2)), 0.5),),
+        {
+            "coefficient": 2.0 * inter["cover_count"] + _flat(params)[0],
             "exponent": inter["exponent"],
         },
-        caveats=("standard_bivariate_normal_only",),
+        ("standard_bivariate_normal_only",),
     )
 
 
 def _dkw_report(params: BoundParams) -> BoundReport:
-    value = dkw_bound(params.n, params.eps)
+    n, eps = _flat(params)
+    value = dkw_bound(n, eps)
     caveats = ("one_dimensional_statement",) if params.d > 1 else ()
-    return BoundReport(
-        kind="dkw",
-        bound_type="deviation_upper",
-        value=value,
-        vacuous=value >= 1.0,
-        applicable=True,
-        preconditions=(),
-        intermediates={"exponent": -2.0 * params.n * params.eps**2,
-                       "probability_lower_bound": 1.0 - value},
-        caveats=caveats,
+    return _report(
+        params,
+        "dkw",
+        "deviation_upper",
+        value,
+        (),
+        {"exponent": -2.0 * n * _libm(pow, eps, 2), "probability_lower_bound": 1.0 - value},
+        caveats,
     )
 
 
@@ -471,7 +527,16 @@ def evaluate_bound(
     sharp2d: bool = False,
     exact_m: bool = False,
 ) -> BoundReport:
-    """Evaluate one bound kind; kinds are listed in BOUND_KINDS."""
+    """Evaluate one bound kind at every point of params' grid; kinds are
+    listed in BOUND_KINDS.
+
+    One call serves a whole grid: the report's value, flags, preconditions
+    and intermediates are arrays of the grid's shape, each element bit for
+    bit the scalar evaluation at its point. A scalar params is a one-point
+    grid whose report holds Python floats and bools. A kind that cannot be
+    evaluated for params' d, flags or missing r or delta raises ValueError
+    before any point is evaluated.
+    """
     if kind == "vc1":
         return vc_bound_double_sample(params, exact_m=exact_m)
     if kind == "vc2":

@@ -370,43 +370,64 @@ def run_bound_sweep(
     constants are the other BoundParams fields (lam, c1, lpi, ltheta, c2,
     r, delta); an omitted one takes the BoundParams default.
 
-    One validated BoundParams is built per (n, eps) point, n-major, before
-    any bound is evaluated, and every kind reuses it; so a bad grid value
-    raises BoundParams' ValueError before the first row. Rows run
-    kind-major, then n, then eps.
+    The grid is one BoundParams over n-major arrays of every (n, eps)
+    point, validated once before any bound is evaluated, so a bad grid
+    value raises BoundParams' ValueError before the first row. Each kind is
+    one evaluate_bound call over the whole grid, and its rows are read off
+    the report's arrays. Rows run kind-major, then n, then eps.
 
     Rows record the value, vacuous and applicability flags, a compact
     precondition summary, the implied exceedance bound, and (for the vc2
     and theorem kinds) the coefficient improvement factor n^((d+7)/2)
     separating the two routes.
     """
-    points = [
-        BoundParams(n=int(n), eps=float(eps), d=d, **constants) for n in n_values for eps in eps_values
-    ]
+    n_values, eps_values = [int(n) for n in n_values], [float(eps) for eps in eps_values]
+    if not n_values or not eps_values:
+        return []
+    params = BoundParams(
+        n=np.repeat(np.asarray(n_values), len(eps_values)),
+        eps=np.tile(np.asarray(eps_values), len(n_values)),
+        d=d,
+        **constants,
+    )
+    n_list, eps_list = params.n.tolist(), params.eps.tolist()
+    blank = [""] * len(n_list)
+    factors = improvement_factor(params.n, d).tolist() if d >= 2 else blank
     rows = []
     for kind in kinds:
-        with_factor = kind in ("vc2", "theorem") and d >= 2
-        for params in points:
-            report = evaluate_bound(kind, params, sharp2d=sharp2d, exact_m=exact_m)
-            pre = ";".join(
-                f"{p.name}={'ok' if p.satisfied else 'violated'}" for p in report.preconditions
+        report = evaluate_bound(kind, params, sharp2d=sharp2d, exact_m=exact_m)
+        factor = factors if kind in ("vc2", "theorem") else blank
+        rows += [
+            {
+                "kind": kind,
+                "n": n,
+                "eps": eps,
+                "d": d,
+                "value": value,
+                "bound_type": report.bound_type,
+                "vacuous": vacuous,
+                "applicable": applicable,
+                "preconditions": summary,
+                "exceedance_bound": exceedance,
+                "improvement_factor": f,
+            }
+            for n, eps, value, vacuous, applicable, summary, exceedance, f in zip(
+                n_list, eps_list, report.value.tolist(), report.vacuous.tolist(),
+                report.applicable.tolist(), _precondition_summaries(report.preconditions, len(n_list)),
+                report.exceedance_bound().tolist(), factor,
             )
-            rows.append(
-                {
-                    "kind": kind,
-                    "n": params.n,
-                    "eps": params.eps,
-                    "d": d,
-                    "value": report.value,
-                    "bound_type": report.bound_type,
-                    "vacuous": report.vacuous,
-                    "applicable": report.applicable,
-                    "preconditions": pre,
-                    "exceedance_bound": report.exceedance_bound(),
-                    "improvement_factor": improvement_factor(params.n, d) if with_factor else "",
-                }
-            )
+        ]
     return rows
+
+
+def _precondition_summaries(preconditions, size: int) -> list[str]:
+    """Each grid point's "name=ok;name=violated" summary of a grid report's
+    preconditions: one string per combination, indexed per point."""
+    table, index = [""], np.zeros(size, dtype=np.intp)
+    for p in preconditions:
+        index = index + len(table) * p.satisfied
+        table = [f"{head}{';' if head else ''}{p.name}={state}" for state in ("violated", "ok") for head in table]
+    return [table[i] for i in index.tolist()]
 
 
 _SWEEP_COLUMNS = (

@@ -9,6 +9,7 @@ angular radius.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -219,14 +220,27 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-def log_covering_count(d: int, psi: float) -> float:
+def _libm(fn, x, *consts) -> np.ndarray:
+    """fn(element, *consts) for every element of x, as a float array of x's shape.
+
+    Each call goes through Python's math (libm): numpy's vectorised exp,
+    log and power are not bit-identical to libm, so array code that must
+    match the scalar formulas takes its transcendentals from here.
+    """
+    x = np.asarray(x)
+    values = map(fn, x.ravel().tolist(), *(itertools.repeat(c) for c in consts))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+def log_covering_count(d: int, psi):
     """Log of the covering lemma's cap count at unit leading constant:
-    log((sqrt(d)/psi)^(d-1) (d-1)^(3/2) ln d), for d >= 2 and psi > 0.
+    log((sqrt(d)/psi)^(d-1) (d-1)^(3/2) ln d), for d >= 2 and psi > 0
+    (a float, or an array of them).
 
     The bounds' covering route multiplies the count by its constant c2.
     build_cover does not use it: its constructions have their own counts.
     """
-    return (d - 1) * (0.5 * math.log(d) - math.log(psi)) + 1.5 * math.log(d - 1) + math.log(math.log(d))
+    return (d - 1) * (0.5 * math.log(d) - _libm(math.log, psi)) + 1.5 * math.log(d - 1) + math.log(math.log(d))
 
 
 def build_cover(

@@ -1,10 +1,13 @@
 """Unit tests for shatter counts, the covering count, and the deviation bounds."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfdepth.bounds import (
     BOUND_KINDS,
@@ -23,6 +26,7 @@ from halfdepth.bounds import (
     vc_bound_double_sample,
     vc_bound_squared_sample,
 )
+from halfdepth.experiments import run_bound_sweep
 from halfdepth.geometry import log_covering_count
 from halfdepth.population import standard_normal
 
@@ -330,6 +334,21 @@ def test_improvement_factor_values():
         assert improvement_factor(n, d) == pytest.approx(n ** ((d + 7) / 2.0), rel=1e-12)
 
 
+def test_improvement_factor_is_clamped_once_its_log_passes_the_exp_clamp():
+    # Below the clamp the factor keeps the bits of float(n) ** ((d+7)/2).
+    for n, d in ((10, 2), (999, 5), (10 ** 9, 2), (10 ** 9, 60)):
+        assert ((d + 7) / 2) * math.log(n) <= 700.0
+        assert improvement_factor(n, d) == float(n) ** ((d + 7) / 2)
+    # 1e9^53.5 overflows a float; like every other bound quantity the factor
+    # is then clamped at e^700.
+    for n in (999_999_990, 10 ** 9):
+        assert improvement_factor(n, 100) == math.exp(700.0)
+    grid = np.array([10, 999, 10 ** 9, 999_999_990])
+    assert improvement_factor(grid, 100).tolist() == [improvement_factor(int(n), 100) for n in grid]
+    with pytest.raises(ValueError, match="need n >= 1 and d >= 2"):
+        improvement_factor(10, 1)
+
+
 # -------------------------------------------------------------- evaluate_bound
 
 
@@ -405,6 +424,133 @@ def test_bound_params_from_distribution():
     assert p.lpi == pytest.approx(1.0 / SQRT_2PI)
     assert p.ltheta == 0.0
     assert p.delta == 0.5
+
+
+# --------------------------------------------------------- grids of points
+
+_OTHER_CONSTANTS = dict(lam=0.7, c1=2.5, lpi=0.3, ltheta=0.2, c2=3.0)
+_COVERING_KINDS = ("prop-r-delta", "cor-delta", "theorem")
+
+
+def _fields(report, at=None):
+    """Every field of a report; of a grid report, at one point."""
+    def plain(x):
+        return x if at is None else x[at].item()
+
+    return {
+        "kind": report.kind,
+        "bound_type": report.bound_type,
+        "value": plain(report.value),
+        "vacuous": plain(report.vacuous),
+        "applicable": plain(report.applicable),
+        "exceedance_bound": plain(report.exceedance_bound()),
+        "preconditions": [(p.name, plain(p.satisfied), plain(p.lhs), plain(p.rhs)) for p in report.preconditions],
+        "intermediates": {key: plain(x) for key, x in report.intermediates.items()},
+        "caveats": report.caveats,
+    }
+
+
+def _assert_plain_scalars(data):
+    assert type(data["value"]) is float
+    assert type(data["vacuous"]) is bool and type(data["applicable"]) is bool
+    for pre in data["preconditions"]:
+        assert type(pre["satisfied"]) is bool
+        assert type(pre["lhs"]) is float and type(pre["rhs"]) is float
+    assert all(type(x) is float for x in data["intermediates"].values())
+    json.dumps(data)
+
+
+@settings(max_examples=60)
+@given(
+    d=st.sampled_from([1, 2, 3, 5]),
+    points=st.lists(
+        st.tuples(
+            # n > 2^26 takes the exact count r^2 - r + 2 of vc1 past 2^53
+            st.one_of(st.integers(1, 10 ** 6), st.integers(2 ** 26, 2 ** 30)),
+            st.floats(1e-9, 1.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    sharp2d=st.booleans(),
+    exact_m=st.booleans(),
+    other_constants=st.booleans(),
+    r=st.floats(0.5, 5.0),
+    delta=st.floats(1e-3, 3.0),
+)
+def test_grid_report_equals_the_scalar_report_at_every_point(
+    d, points, sharp2d, exact_m, other_constants, r, delta
+):
+    flags = dict(sharp2d=sharp2d, exact_m=exact_m) if d == 2 else {}
+    constants = dict(_OTHER_CONSTANTS if other_constants else {}, r=r, delta=delta)
+    n = np.array([p[0] for p in points])
+    eps = np.array([p[1] for p in points])
+    grid = BoundParams(n=n, eps=eps, d=d, **constants)
+    singles = [BoundParams(n=int(a), eps=float(b), d=d, **constants) for a, b in points]
+    for kind in BOUND_KINDS:
+        if d == 1 and kind in _COVERING_KINDS:
+            continue
+        reports = [evaluate_bound(kind, p, **flags) for p in singles]
+        for rep in reports:
+            _assert_plain_scalars(rep.to_dict())
+        gridded = evaluate_bound(kind, grid, **flags)
+        assert [_fields(gridded, at) for at in range(len(points))] == [_fields(rep) for rep in reports]
+    # a two-dimensional grid keeps its shape
+    column = evaluate_bound("theorem" if d > 1 else "dkw", replace(grid, n=n[:, None], eps=eps[:, None]))
+    assert column.value.shape == (len(points), 1)
+
+
+@pytest.mark.parametrize(
+    "kind, d, flags, constants, message",
+    [
+        ("prop-r-delta", 1, {}, dict(r=3.0, delta=0.5), "the covering-route bounds require d >= 2, got d=1"),
+        ("cor-delta", 1, {}, dict(delta=0.5), "the covering-route bounds require d >= 2, got d=1"),
+        ("theorem", 1, {}, {}, "the covering-route bounds require d >= 2, got d=1"),
+        ("vc1", 3, dict(exact_m=True), {}, "the exact planar subset count applies only to d=2"),
+        ("vc2", 1, dict(exact_m=True), {}, "the exact planar subset count applies only to d=2"),
+        ("theorem", 3, dict(sharp2d=True), {}, "sharp-2d mode applies only to d=2"),
+        ("prop-r-delta", 5, dict(sharp2d=True), dict(r=3.0, delta=0.5), "sharp-2d mode applies only to d=2"),
+        ("prop-r-delta", 2, {}, dict(delta=0.5), "this bound requires the parameter 'r'"),
+        ("prop-r-delta", 2, {}, dict(r=3.0), "this bound requires the parameter 'delta'"),
+        ("cor-delta", 2, {}, {}, "this bound requires the parameter 'delta'"),
+    ],
+)
+def test_grid_call_raises_the_scalar_message(kind, d, flags, constants, message):
+    with pytest.raises(ValueError) as scalar:
+        evaluate_bound(kind, BoundParams(n=300, eps=0.1, d=d, **constants), **flags)
+    assert scalar.value.args == (message,)
+    grid = BoundParams(n=np.array([60, 60, 300]), eps=np.array([0.05, 0.2, 0.1]), d=d, **constants)
+    with pytest.raises(ValueError) as gridded:
+        evaluate_bound(kind, grid, **flags)
+    assert gridded.value.args == (message,)
+    with pytest.raises(ValueError) as swept:
+        run_bound_sweep(["dkw", kind], [60, 300], [0.05, 0.1], d, **flags, **constants)
+    assert swept.value.args == (message,)
+
+
+def test_grid_values_keep_the_scalar_libm_bits():
+    # numpy's vectorised exp and power differ from libm in the last bit at
+    # several of these points, so the grid must take them from math.
+    rng = np.random.default_rng(5)
+    n, eps = rng.integers(50, 5000, 300), rng.uniform(0.03, 0.25, 300)
+    grid = BoundParams(n=n, eps=eps, d=2)
+    points = list(zip(n.tolist(), eps.tolist()))
+    assert evaluate_bound("dkw", grid).value.tolist() == [2.0 * math.exp(-2.0 * a * b * b) for a, b in points]
+    vc1 = [
+        math.exp(min(math.log(4.0) + (math.log(1.5) + 3 * math.log(2 * a) - math.lgamma(4)) + -a * b ** 2 / 8.0, 700.0))
+        for a, b in points
+    ]
+    assert evaluate_bound("vc1", grid).value.tolist() == vc1
+    assert improvement_factor(n, 2).tolist() == [float(a) ** 4.5 for a in n.tolist()]
+
+
+def test_grid_validation_names_the_first_bad_point():
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\], got 0.0$"):
+        BoundParams(n=np.array([5, 5, 0]), eps=np.array([0.1, 0.0, 0.1]))
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        BoundParams(n=np.array([5, 0, 5]), eps=np.array([0.1, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="one shape"):
+        BoundParams(n=np.array([5, 6]), eps=0.1)
 
 
 def test_report_dict_shape():

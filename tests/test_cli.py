@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -290,6 +293,36 @@ def test_bound_sweep_bad_grid_value_writes_nothing(capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: eps must be in (0, 1], got 0.0"
     ]
+
+
+def test_bound_sweep_clamps_an_improvement_factor_past_the_float_range(capsys):
+    # 1e9^53.5 overflows a float; the factor is clamped at e^700 like every
+    # other bound quantity, so the sweep writes its rows.
+    code, out, err = run_cli(
+        capsys, "bound", "--kind", "vc2", "--n", "1000000000", "--eps", "0.1", "--d", "100",
+        "--sweep", "n=999999990..1000000000..5",
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(row["n"]) for row in rows] == [999999990, 999999995, 1000000000]
+    assert all(math.isfinite(float(row["improvement_factor"])) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "theorem", "--d", "1"], "the covering-route bounds require d >= 2, got d=1"),
+        (["--kind", "vc1", "--d", "3", "--exact-m"], "the exact planar subset count applies only to d=2"),
+        (["--kind", "cor-delta", "--d", "3", "--delta", "0.5", "--sharp-2d"], "sharp-2d mode applies only to d=2"),
+        (["--kind", "prop-r-delta", "--delta", "0.5"], "this bound requires the parameter 'r'"),
+    ],
+    ids=["covering-d1", "exact-m-off-plane", "sharp2d-off-plane", "missing-r"],
+)
+def test_bound_sweep_kind_that_cannot_be_evaluated_writes_nothing(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bound", "--n", "300", "--eps", "0.1", "--sweep", "n=100..200", *argv)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
 # --------------------------------------------------------------- experiment

@@ -402,26 +402,29 @@ def test_sweep_rows_equal_the_per_row_loop(d, flags, constants):
     assert sweep_rows_to_csv(rows).encode() == sweep_rows_to_csv(want).encode()
 
 
-def test_sweep_builds_each_point_once_and_evaluates_each_row_once(monkeypatch):
+def test_sweep_validates_the_grid_once_and_evaluates_each_kind_once(monkeypatch):
     # bench/tracing.py and bench/setup_probe.py hook experiments.evaluate_bound
-    # by name, so every row must go through that global.
+    # by name, so every kind must go through that global.
     built, evaluated = [], []
     real_params, real_evaluate = expmod.BoundParams, expmod.evaluate_bound
 
     def counting_params(*args, **kwargs):
-        built.append((kwargs["n"], kwargs["eps"]))
+        built.append((kwargs["n"].tolist(), kwargs["eps"].tolist()))
         return real_params(*args, **kwargs)
 
     def counting_evaluate(kind, params, *args, **kwargs):
-        evaluated.append((kind, params.n, params.eps))
+        evaluated.append((kind, params.n.tolist(), params.eps.tolist()))
         return real_evaluate(kind, params, *args, **kwargs)
 
     monkeypatch.setattr(expmod, "BoundParams", counting_params)
     monkeypatch.setattr(expmod, "evaluate_bound", counting_evaluate)
     rows = run_bound_sweep(BOUND_KINDS, [50, 400, 3000], [0.05, 0.2], d=2, r=3.0, delta=0.5)
-    assert built == [(n, eps) for n in (50, 400, 3000) for eps in (0.05, 0.2)]
-    assert evaluated == [(row["kind"], row["n"], row["eps"]) for row in rows]
-    assert len(evaluated) == len(BOUND_KINDS) * 6
+    grid = ([n for n in (50, 400, 3000) for _ in range(2)], [0.05, 0.2] * 3)
+    assert built == [grid]
+    assert evaluated == [(kind, *grid) for kind in BOUND_KINDS]
+    assert [(row["kind"], row["n"], row["eps"]) for row in rows] == [
+        (kind, n, eps) for kind in BOUND_KINDS for n, eps in zip(*grid)
+    ]
 
 
 @pytest.mark.parametrize(

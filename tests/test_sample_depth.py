@@ -436,6 +436,54 @@ def test_certified_contains_brute_and_approx_bounds_it(d, n, grid, seed):
         assert depth_approx(q, s, cover).count >= brute.count
 
 
+def _random_rotation(rng, d):
+    """A uniformly random rotation of R^d (determinant +1)."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@lru_cache(maxsize=None)
+def _rotation_cover(d):
+    return build_cover(d, 0.3)
+
+
+@settings(max_examples=60)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=10),
+    big_n=st.integers(min_value=1, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_depth_counts_invariant_under_random_rotations(d, n, big_n, seed):
+    # A rotation by an arbitrary angle is not exact in floating point, so
+    # the data are Gaussian, where no ties occur. The query at a sample
+    # point is the rotated point itself.
+    rng = np.random.default_rng(seed)
+    rot = _random_rotation(rng, d)
+
+    def rotated(pts, qs):
+        moved = pts @ rot.T
+        return Sample(pts), Sample(moved), np.vstack([moved[:1], qs @ rot.T])
+
+    pts = rng.normal(size=(n, d))
+    qs = np.vstack([pts[:1], rng.normal(size=(2, d))])
+    s, rs, rqs = rotated(pts, qs[1:])
+    cover = _rotation_cover(d)
+    lower, upper, _ = depth_certified_many(rqs, rs, cover)
+    for j, (q, rq) in enumerate(zip(qs, rqs)):
+        count = depth_brute(q, s).count
+        assert depth_brute(rq, rs).count == count
+        assert lower[j] <= count <= upper[j]
+    if d == 2:
+        pts = rng.normal(size=(big_n, 2))
+        qs = np.vstack([pts[:1], rng.normal(size=(5, 2))])
+        s, rs, rqs = rotated(pts, qs[1:])
+        assert depth_exact_2d_many(rqs, rs).tolist() == depth_exact_2d_many(qs, s).tolist()
+
+
 def _grid_or_normal(rng, n, d, grid):
     if grid:
         pts = rng.integers(-2, 3, size=(n, d)).astype(float)
