@@ -30,7 +30,7 @@ from .experiments import (
     sweep_rows_to_csv,
     write_outputs,
 )
-from .geometry import SphericalCover, build_cover, verify_cover
+from .geometry import SphericalCover, build_cover, check_exact_cover, verify_cover
 from .population import DistributionSpec, population_depth, standard_normal
 from .sample_depth import (
     Sample,
@@ -111,11 +111,21 @@ def _require_seed(args, why: str) -> int:
     return int(args.seed)
 
 
-def _make_cover(args, d: int) -> SphericalCover:
+def _make_cover(args, d: int, certified: bool = False) -> SphericalCover:
+    """The cover of --cover FILE or --psi RADIUS. A certified depth trusts
+    the cover's psi, so a loaded cover must first pass the exact check;
+    an approximate depth is an upper bound over any directions."""
     if getattr(args, "cover", None):
         cover = _load_cover(args.cover)
         if cover.d != d:
             raise ValueError(f"cover has dimension {cover.d}, expected {d}")
+        if certified:
+            try:
+                check_exact_cover(cover)
+            except ValueError as exc:
+                raise ValueError(
+                    f"cover {args.cover} cannot certify a depth: {exc}; pass --psi RADIUS to build a proven cover"
+                ) from None
         return cover
     if getattr(args, "psi", None) is None:
         raise ValueError("this method needs a direction cover; pass --cover FILE or --psi RADIUS")
@@ -148,7 +158,7 @@ def cmd_depth(args) -> int:
     elif method == "approx":
         result = depth_approx(query, sample, _make_cover(args, sample.dim))
     elif method == "certified":
-        result = depth_certified(query, sample, _make_cover(args, sample.dim))
+        result = depth_certified(query, sample, _make_cover(args, sample.dim, certified=True))
     else:
         raise ValueError(f"unknown method {method!r}")
     _emit(result.to_dict(), args.out)

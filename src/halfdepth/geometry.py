@@ -209,6 +209,17 @@ def _certifies(radius: float, psi: float) -> bool:
     return radius <= psi - _RADIUS_ATOL
 
 
+def check_exact_cover(cover: SphericalCover) -> None:
+    """Raise ValueError unless the cover passes verify_cover's exact rule:
+    its exact covering radius is at most psi, less 1e-12. Only d <= 4 has
+    an exact radius, so a cover of a higher dimension is refused."""
+    if cover.d > _EXACT_RADIUS_MAX_D:
+        raise ValueError(f"no exact covering radius is computed for d={cover.d} (only d <= {_EXACT_RADIUS_MAX_D})")
+    radius = cover_radius(cover.centers)
+    if not _certifies(radius, cover.psi):
+        raise ValueError(f"its exact covering radius {radius:.6g} exceeds psi {cover.psi:g} less {_RADIUS_ATOL:g}")
+
+
 def _fibonacci_sphere(count: int) -> np.ndarray:
     """Fibonacci lattice on S^2: near-uniform deterministic point set."""
     golden = (1.0 + math.sqrt(5.0)) / 2.0

@@ -78,10 +78,15 @@ class DepthInterval:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """An immutable (n, d) array of sample points."""
+    """An immutable (n, d) array of sample points.
+
+    A sample keeps its projection onto the last cover its certified depth
+    was taken over (see _projection), so the queries of a trial share one
+    projection and one sort.
+    """
 
     points: np.ndarray
-    _keys: tuple | None = field(default=None, init=False, repr=False)
+    _kept: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.points, dtype=float)
@@ -102,27 +107,38 @@ class Sample:
     def dim(self) -> int:
         return int(self.points.shape[1])
 
-    def _projection_keys(self, cover: SphericalCover) -> np.ndarray:
-        """Search keys for the projections onto the cover's centers, an (m, n) array.
+    def _projection(self, cover: SphericalCover) -> tuple:
+        """The sample's projection onto the cover, kept for its last cover.
 
-        Row j holds j + 1j * z, with z running over the sorted projections
+        Returns (cover, columns, keys, template, offsets). columns is the
+        (d, n) transpose of the points, rows contiguous. keys is flat: row
+        j of its (m, n) form holds j + 1j * z, z the sorted projections
         (x - x0).c_j about x0 = points[0]. numpy orders complex numbers by
-        real part and then imaginary part, so the flattened keys are sorted,
-        and one searchsorted of j + 1j * t counts, for every center j at
-        once, the points with (x - x0).c_j <= t. The keys for the most
-        recent cover are kept, so that a trial's queries share one
-        projection and one sort.
+        real part and then imaginary part, so the flat keys are sorted, and
+        one searchsorted of j + 1j * t counts, for every center j at once,
+        the points with (x - x0).c_j <= t; offsets = n * arange(m) takes
+        the earlier rows back off. template is a (2, m) complex array with
+        real parts 0..m-1, for a query's two threshold rows. The tuple is
+        replaced whole, so threads that share the sample at worst build it
+        twice.
         """
-        kept = self._keys
+        kept = self._kept
         if kept is not None and kept[0] is cover:
-            return kept[1]
-        keys = np.empty((cover.centers.shape[0], self.n), dtype=complex)
-        keys.real = np.arange(keys.shape[0])[:, None]
-        np.matmul(cover.centers, (self.points - self.points[0]).T, out=keys.imag)
-        keys.imag.sort(axis=1)
-        keys.setflags(write=False)
-        object.__setattr__(self, "_keys", (cover, keys))
-        return keys
+            return kept
+        m, n = cover.centers.shape[0], self.n
+        z = cover.centers @ (self.points - self.points[0]).T
+        z.sort(axis=1)
+        keys = np.empty((m, n), dtype=complex)
+        keys.real = np.arange(m)[:, None]
+        keys.imag = z
+        template = np.zeros((2, m), dtype=complex)
+        template.real = np.arange(m)
+        columns, offsets = np.ascontiguousarray(self.points.T), n * np.arange(m)
+        for a in (columns, keys, template, offsets):
+            a.setflags(write=False)
+        kept = (cover, columns, keys.reshape(-1), template, offsets)
+        object.__setattr__(self, "_kept", kept)
+        return kept
 
     @classmethod
     def from_csv(cls, path) -> "Sample":
@@ -348,27 +364,28 @@ def depth_brute(q, sample: Sample) -> DepthValue:
     return DepthValue(count=best, n=sample.n)
 
 
-def depth_certified_many(
-    queries, sample: Sample, cover: SphericalCover
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certified depth counts for a (Q, d) block of queries from one cover pass.
+_EPS = float(np.finfo(float).eps)
 
-    Returns (lower, upper, radius), one entry per query. With q at the
-    origin, projections onto directions within psi of a cover center
-    differ by at most R*psi, where R is the largest sample distance from
-    q. The closed count at q.c over the centers upper-bounds the exact
-    depth; the count at q.c - R*psi lower-bounds it. Every count is a
-    binary search of a threshold into the sample's sorted projection onto
-    a center, so a sample costs O(m n log n) once plus O(m log n) per query.
-    """
+
+def _certified_block(queries, sample: Sample, cover: SphericalCover) -> np.ndarray:
+    """queries as a finite (Q, d) float array matching the sample and the cover."""
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != sample.dim or cover.d != sample.dim:
         raise ValueError(
             f"dimension mismatch: sample d={sample.dim}, queries {queries.shape}, cover {cover.d}"
         )
     _check_finite(queries)
-    d, m = sample.dim, cover.centers.shape[0]
-    radius = _query_radii(queries, sample)
+    return queries
+
+
+def _certified_counts(q: np.ndarray, sample: Sample, cover: SphericalCover) -> tuple[int, int, float]:
+    """(lower, upper, R) counts of one validated query; see depth_certified."""
+    _, columns, keys, template, offsets = sample._projection(cover)
+    squares = columns - q[:, None]
+    squares *= squares
+    for row in squares[1:]:
+        squares[0] += row
+    radius = math.sqrt(squares[0].max())
     # Projections are taken about x0 = points[0]. (x - x0).c and (q - x0).c
     # are rounded separately, so their difference is off from the exact
     # (x - q).c by at most about (d + 1) u (|x - x0| + |q - x0|), u = eps / 2.
@@ -378,16 +395,32 @@ def depth_certified_many(
     # exact count at -R psi and each point on a boundary inside the upper
     # count, in any dimension, and scales with the spread of the data, not
     # with its offset.
-    offset = queries - sample.points[0]
-    slack = 2.0 * (d + 4) * np.finfo(float).eps * (radius + 2.0 * np.linalg.norm(offset, axis=1))
-    at = offset @ cover.centers.T
-    thresholds = np.empty((len(queries), 2, m), dtype=complex)
-    thresholds.real = np.arange(m)
-    thresholds.imag[:, 0] = at - (radius * cover.psi + slack)[:, None]
-    thresholds.imag[:, 1] = at + (TIE_RTOL * radius + slack)[:, None]
-    keys = sample._projection_keys(cover)
-    counts = np.searchsorted(keys.reshape(-1), thresholds, side="right") - sample.n * np.arange(m)
-    lower, upper = counts.min(axis=2).T
+    offset = q - sample.points[0]
+    distance = math.sqrt(np.add.reduce(offset * offset))
+    slack = 2.0 * (sample.dim + 4) * _EPS * (radius + 2.0 * distance)
+    at = cover.centers @ offset
+    thresholds = template.copy()
+    np.subtract(at, radius * cover.psi + slack, out=thresholds.imag[0])
+    np.add(at, TIE_RTOL * radius + slack, out=thresholds.imag[1])
+    counts = np.searchsorted(keys, thresholds, side="right")
+    counts -= offsets
+    lower, upper = counts.min(axis=1).tolist()
+    return lower, upper, radius
+
+
+def depth_certified_many(
+    queries, sample: Sample, cover: SphericalCover
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified depth counts (lower, upper, radius) for a (Q, d) block of
+    queries: the per-query kernel of depth_certified over each row, so its
+    entries are the single-query results bit for bit. lower and upper are
+    intp arrays and radius a float array, one entry per query."""
+    queries = _certified_block(queries, sample, cover)
+    lower = np.empty(len(queries), dtype=np.intp)
+    upper = np.empty(len(queries), dtype=np.intp)
+    radius = np.empty(len(queries))
+    for i, q in enumerate(queries):
+        lower[i], upper[i], radius[i] = _certified_counts(q, sample, cover)
     return lower, upper, radius
 
 
@@ -395,21 +428,31 @@ def depth_approx(q, sample: Sample, cover: SphericalCover) -> DepthValue:
     """Depth minimized over the cover's directions only.
 
     Always an upper bound for the exact depth (the minimum over all
-    directions); exact whenever the cover happens to contain a minimizing
-    direction. It is the upper end of depth_certified.
+    directions), whatever the directions; exact whenever the cover happens
+    to contain a minimizing direction. It is the upper end of
+    depth_certified, from the same kernel.
     """
-    _, upper, _ = depth_certified_many(np.reshape(q, (1, -1)), sample, cover)
-    return DepthValue(count=int(upper[0]), n=sample.n)
+    q = _certified_block(np.reshape(q, (1, -1)), sample, cover)[0]
+    _, upper, _ = _certified_counts(q, sample, cover)
+    return DepthValue(count=upper, n=sample.n)
 
 
 def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
-    """Two-sided enclosure of the exact depth from a single cover pass;
-    see depth_certified_many."""
-    lower, upper, radius = depth_certified_many(np.reshape(q, (1, -1)), sample, cover)
+    """Two-sided enclosure of the exact depth of one query from a cover.
+
+    With q at the origin, projections onto directions within psi of a
+    cover center differ by at most R*psi, where R is the largest sample
+    distance from q. The closed count at q.c over the centers
+    upper-bounds the exact depth; the count at q.c - R*psi lower-bounds
+    it. The sample's projection onto the cover is sorted once and kept
+    (Sample._projection); a query then costs one product with the
+    centers and one binary search of its 2m thresholds into the flat
+    keys, O(m log(mn)).
+    """
+    q = _certified_block(np.reshape(q, (1, -1)), sample, cover)[0]
+    lower, upper, radius = _certified_counts(q, sample, cover)
     n = sample.n
-    return DepthInterval(
-        lower=int(lower[0]) / n, upper=int(upper[0]) / n, psi=cover.psi, radius=float(radius[0])
-    )
+    return DepthInterval(lower=lower / n, upper=upper / n, psi=cover.psi, radius=radius)
 
 
 def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:

@@ -104,6 +104,70 @@ def test_depth_with_cover_file(capsys, tmp_path):
     assert json.loads(out)["upper"] >= json.loads(out)["lower"]
 
 
+def _holed_cover_case(tmp_path):
+    """A d=3 cover file that keeps only the centers with z < -0.3 of a psi=0.1
+    cover yet claims psi=0.1, a 10-point sample, and a query of depth 0."""
+    full = build_cover(3, 0.1)
+    cover_path = tmp_path / "holed.json"
+    holed = {"centers": full.centers[full.centers[:, 2] < -0.3].tolist(), "psi": 0.1}
+    cover_path.write_text(json.dumps(holed))
+    sample_path = tmp_path / "sample.csv"
+    pts = np.random.default_rng(2).standard_normal((10, 3))
+    sample_path.write_text("".join(",".join(repr(float(c)) for c in row) + "\n" for row in pts))
+    return ["--sample", str(sample_path), "--query", "0,0,-0.5422889370353403"], str(cover_path)
+
+
+def test_depth_certified_refuses_a_cover_file_that_does_not_cover(capsys, tmp_path):
+    # Trusting the file's psi gave the interval [0.1, 0.4] around an exact depth of 0.
+    args, cover_path = _holed_cover_case(tmp_path)
+    code, out, _ = run_cli(capsys, "depth", "--method", "brute", *args)
+    assert json.loads(out)["count"] == 0
+    code, out, err = run_cli(capsys, "depth", "--method", "certified", "--cover", cover_path, *args)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "exact covering radius" in errors[0] and "--psi" in errors[0]
+
+
+def test_depth_approx_accepts_any_cover_file(capsys, tmp_path):
+    # The approximate depth is an upper bound over any set of directions.
+    args, cover_path = _holed_cover_case(tmp_path)
+    code, out, _ = run_cli(capsys, "depth", "--method", "approx", "--cover", cover_path, *args)
+    assert code == 0
+    assert json.loads(out)["count"] == 4
+
+
+@pytest.mark.parametrize("d, psi", [(2, 0.1), (3, 0.3), (4, 0.5)])
+def test_cover_output_reloads_and_certifies(capsys, tmp_path, d, psi):
+    cover_path = tmp_path / "cover.json"
+    code, _, _ = run_cli(capsys, "cover", "--d", str(d), "--psi", str(psi), "--out", str(cover_path))
+    assert code == 0
+    pts = ";".join(",".join(f"{c:.6f}" for c in row) for row in np.random.default_rng(d).normal(size=(12, d)))
+    code, out, err = run_cli(
+        capsys, "depth", "--method", "certified", "--query", ",".join(["0"] * d),
+        f"--sample={pts}", "--cover", str(cover_path),
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["psi"] == psi and data["lower"] <= data["upper"]
+
+
+def test_depth_certified_refuses_a_cover_file_above_d4(capsys, tmp_path):
+    cover_path = tmp_path / "cover5.json"
+    cover_path.write_text(json.dumps(build_cover(5, 0.9).to_dict()))
+    pts = ";".join(",".join(f"{c:.6f}" for c in row) for row in np.random.default_rng(5).normal(size=(8, 5)))
+    code, out, err = run_cli(
+        capsys, "depth", "--method", "certified", "--query", "0,0,0,0,0",
+        f"--sample={pts}", "--cover", str(cover_path),
+    )
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "d=5" in errors[0] and "--psi" in errors[0]
+
+
 def test_depth_sample_files(capsys, tmp_path):
     csv_path = tmp_path / "pts.csv"
     csv_path.write_text("1,0\n0,1\n-1,0\n0,-1\n")

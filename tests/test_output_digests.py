@@ -1,0 +1,79 @@
+"""Pinned sha256 digests of the deterministic outputs of small seeded runs.
+
+`results.csv`, `summary.json` and `plotdata.csv` must stay byte-identical
+across refactors and speed-ups. Each case below runs one small seeded
+experiment, writes its three files and compares their digests with the
+ones pinned here. A change that alters these outputs on purpose updates
+the digests in the same change and records which outputs moved, and why,
+in CHANGES.md. Across `--jobs` only `summary.json`, which echoes `jobs`,
+may differ.
+"""
+
+import hashlib
+
+import pytest
+
+from halfdepth.experiments import ExperimentConfig, run_deviation_experiment, write_outputs
+from halfdepth.population import elliptical_normal, standard_normal
+
+_FILES = ("results.csv", "summary.json", "plotdata.csv")
+
+
+def _config(case: str) -> ExperimentConfig:
+    if case == "d1":
+        return ExperimentConfig(
+            dist=standard_normal(1), n=200, eps=0.1, trials=20, seed=11, kinds=("dkw",)
+        )
+    if case == "d2-exact":
+        return ExperimentConfig(
+            dist=standard_normal(2), n=150, eps=0.15, trials=15, seed=12, psi=0.05,
+            kinds=("dkw", "vc2", "theorem"),
+        )
+    if case == "d2-elliptical":
+        return ExperimentConfig(
+            dist=elliptical_normal([1.0, -2.0], [[4.0, 1.0], [1.0, 2.0]]), n=120, eps=0.2,
+            trials=12, seed=13, psi=0.05, kinds=("dkw", "prop-r-delta", "cor-delta"),
+            delta=0.5, r=3.0,
+        )
+    assert case.startswith("d3-jobs")
+    return ExperimentConfig(
+        dist=standard_normal(3), n=150, eps=0.15, trials=12, seed=14, psi=0.2,
+        kinds=("dkw", "vc2", "theorem"), jobs=int(case.removeprefix("d3-jobs")),
+    )
+
+
+# Taken before the certified depth moved to a per-query kernel, which kept them.
+DIGESTS = {
+    "d1": {
+        "results.csv": "96090bab26f95b015d5aa21b7d778baf872a2493b11117ae29b45698ff1f5607",
+        "summary.json": "95d7b229abba1fcb37d23f2b96357ccc21e75ef2441a4a56f204fe002514d5ff",
+        "plotdata.csv": "50680d13ba9c48897b2b5de9b94cd5075c0d4cc13fb25dfa0752562f1372fc72",
+    },
+    "d2-exact": {
+        "results.csv": "3c79813c9900a8b94db468527e4bb25805364137acb20806342a83f75f03af83",
+        "summary.json": "7be4c377f831cea1cd521d47160861bdbdd62717a2499adf18b71cb2d92e9bd8",
+        "plotdata.csv": "d73130504c03c9e134fc08a500454866026730d731807a7e7c1e65154042184d",
+    },
+    "d2-elliptical": {
+        "results.csv": "bf99d0fbb972cd66c55f5d1611282dc6f5b72c0406cc3e81ed95dc101dd56d91",
+        "summary.json": "28768d6e78af9ef0887c26e1906f1293eb3caa338985a9ba86c902f611b4ba10",
+        "plotdata.csv": "d9cf9e88c17f402f4dbde634b495e90405b439d9ee299a0adfb17ff3ddef32f9",
+    },
+    "d3-jobs1": {
+        "results.csv": "4fa9dc939cb5220f34d3e24c74f40a81d3419ce52d660c683670f65a329f69ae",
+        "summary.json": "c28c6c4f8ae557d714f59a53af9b35932b3de0ac1d5f0211009b54af151813c3",
+        "plotdata.csv": "da4a0b84bd498debcc48f7319c501e57d8bc2acff830c144fea5982cb03639ef",
+    },
+    "d3-jobs2": {
+        "results.csv": "4fa9dc939cb5220f34d3e24c74f40a81d3419ce52d660c683670f65a329f69ae",
+        "summary.json": "8a02d54044b31acd7d88d5b30fc62defc03cc052d6d88deebe3052ff8168f8e7",
+        "plotdata.csv": "da4a0b84bd498debcc48f7319c501e57d8bc2acff830c144fea5982cb03639ef",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_outputs_match_their_pinned_digests(case, tmp_path):
+    write_outputs(run_deviation_experiment(_config(case)), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _FILES}
+    assert got == DIGESTS[case]

@@ -2,8 +2,11 @@
 
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
+from threading import Barrier
 
 import numpy as np
 import pytest
@@ -506,6 +509,100 @@ def test_batched_depth_equals_single_query(d, grid):
             iv = depth_certified(q, s, cover)
             assert (iv.lower, iv.upper, iv.radius) == (lower[j] / s.n, upper[j] / s.n, radius[j])
             assert depth_approx(q, s, cover).count == upper[j]
+
+
+@lru_cache(maxsize=None)
+def _kernel_covers(d):
+    """Two covers per dimension: the one a case scores against and a second one."""
+    psis = {3: (0.3, 0.5), 4: (0.5, 0.7)}[d]
+    return tuple(build_cover(d, psi) for psi in psis)
+
+
+def _kernel_case(d, data):
+    """A sample and queries for the certified kernel: Gaussian, an integer grid
+    with duplicated points, or Gaussian data scaled by 2^20 or 2^-20 and
+    shifted by 2^30 (far from the origin, at either spread)."""
+    rng = np.random.default_rng(40 + d)
+    if data == "grid":
+        pts = rng.integers(-2, 3, size=(40, d)).astype(float)
+        pts[20:30] = pts[:10]
+        qs = np.vstack([pts[:5], rng.integers(-4, 5, size=(5, d)) / 2.0])
+    else:
+        pts, qs = rng.normal(size=(60, d)), np.vstack([rng.normal(size=(5, d)) * 0.7, np.zeros((1, d))])
+        if data != "normal":
+            scale = 2.0**20 if data == "wide-far" else 2.0**-20
+            pts, qs = pts * scale + 2.0**30, qs * scale + 2.0**30
+    return pts, qs
+
+
+_KERNEL_CASES = pytest.mark.parametrize(
+    "d, data", [(d, data) for d in (3, 4) for data in ("normal", "grid", "wide-far", "narrow-far")]
+)
+
+
+@_KERNEL_CASES
+def test_certified_many_on_an_empty_block_returns_empty_arrays(d, data):
+    pts, _ = _kernel_case(d, data)
+    lower, upper, radius = depth_certified_many(np.empty((0, d)), Sample(pts), _kernel_covers(d)[0])
+    assert lower.shape == upper.shape == radius.shape == (0,)
+    assert lower.dtype == upper.dtype == np.intp
+    assert radius.dtype == float
+
+
+@_KERNEL_CASES
+def test_kept_keys_equal_a_plain_row_sort(d, data):
+    pts, _ = _kernel_case(d, data)
+    s = Sample(pts)
+    for cover in _kernel_covers(d):
+        _, columns, keys, template, offsets = s._projection(cover)
+        m = cover.centers.shape[0]
+        plain = np.sort(cover.centers @ (s.points - s.points[0]).T, axis=1)
+        keys = keys.reshape(m, s.n)
+        assert np.array_equal(keys.imag.view(np.uint64), plain.view(np.uint64))
+        assert (keys.real == np.arange(m)[:, None]).all()
+        assert np.array_equal(columns, s.points.T) and columns.flags.c_contiguous
+        assert (template.real == np.arange(m)).all() and template.shape == (2, m)
+        assert offsets.tolist() == [s.n * j for j in range(m)]
+
+
+def _intervals(qs, s, cover):
+    return [depth_certified(q, s, cover).to_dict() for q in qs]
+
+
+@_KERNEL_CASES
+def test_one_sample_scored_from_four_threads_gives_the_serial_intervals(d, data):
+    # The threads race to build the kept projection; it may be built more
+    # than once, but every thread must read a whole one. A short switch
+    # interval makes the threads interleave inside the build.
+    pts, qs = _kernel_case(d, data)
+    cover = _kernel_covers(d)[0]
+    serial = _intervals(qs, Sample(pts), cover)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared, start = Sample(pts), Barrier(4, timeout=30)
+
+            def score(_):
+                start.wait()
+                return _intervals(qs, shared, cover)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(score, range(4), timeout=60)) == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@_KERNEL_CASES
+def test_a_sample_alternating_between_covers_gives_each_covers_counts(d, data):
+    pts, qs = _kernel_case(d, data)
+    first, second = _kernel_covers(d)
+    fresh = {id(c): [a.tolist() for a in depth_certified_many(qs, Sample(pts), c)] for c in (first, second)}
+    s = Sample(pts)
+    for cover in (first, second, first, second):
+        assert [a.tolist() for a in depth_certified_many(qs, s, cover)] == fresh[id(cover)]
+        assert _intervals(qs, s, cover) == _intervals(qs, Sample(pts), cover)
+    assert fresh[id(first)] != fresh[id(second)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
