@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -115,12 +116,13 @@ class Sample:
         j of its (m, n) form holds j + 1j * z, z the sorted projections
         (x - x0).c_j about x0 = points[0]. numpy orders complex numbers by
         real part and then imaginary part, so the flat keys are sorted, and
-        one searchsorted of j + 1j * t counts, for every center j at once,
-        the points with (x - x0).c_j <= t; offsets = n * arange(m) takes
-        the earlier rows back off. template is a (2, m) complex array with
-        real parts 0..m-1, for a query's two threshold rows. The tuple is
-        replaced whole, so threads that share the sample at worst build it
-        twice.
+        one searchsorted of j + 1j * t counts, for any set of centers j in
+        one call, the points with (x - x0).c_j <= t; offsets = n * arange(m)
+        takes the earlier rows back off, and keys.imag[k + offsets] gathers
+        every center's (k+1)-th smallest projection. template is a (2, m)
+        complex array with real parts 0..m-1, for a query's two threshold
+        rows. The tuple is replaced whole, so threads that share the sample
+        at worst build it twice.
         """
         kept = self._kept
         if kept is not None and kept[0] is cover:
@@ -366,6 +368,12 @@ def depth_brute(q, sample: Sample) -> DepthValue:
 
 _EPS = float(np.finfo(float).eps)
 
+# Both pruned extrema start from an exact bound over every
+# _BOUND_STRIDE-th direction: sup_deviation's lower bound is the KS over
+# those directions, and _certified_counts's upper bound is the count
+# minimum over those centers.
+_BOUND_STRIDE = 8
+
 
 def _certified_block(queries, sample: Sample, cover: SphericalCover) -> np.ndarray:
     """queries as a finite (Q, d) float array matching the sample and the cover."""
@@ -379,7 +387,23 @@ def _certified_block(queries, sample: Sample, cover: SphericalCover) -> np.ndarr
 
 
 def _certified_counts(q: np.ndarray, sample: Sample, cover: SphericalCover) -> tuple[int, int, float]:
-    """(lower, upper, R) counts of one validated query; see depth_certified."""
+    """(lower, upper, R) counts of one validated query; see depth_certified.
+
+    Each count is a minimum over the centers of a closed count below a
+    threshold, one threshold row per bound. It searches the thresholds of
+    every _BOUND_STRIDE-th center, gathers every center's sorted projection
+    at one index per row, and searches only the centers that gather cannot
+    rule out, so the result is the minimum over all 2m searches bit for
+    bit. When every center ties at that bound, as for a sample whose
+    points all coincide, every center is searched.
+
+    Off the main thread, as on the harness's thread pool, it searches all
+    2m thresholds in one call instead. numpy releases the GIL for a
+    search, and only a long release lets the other threads run meanwhile:
+    on a 2-vCPU host a 2-thread pool ran d=3 trials faster than one thread
+    with the one search, and slower with the pruned one, whose searches
+    are short.
+    """
     _, columns, keys, template, offsets = sample._projection(cover)
     squares = columns - q[:, None]
     squares *= squares
@@ -402,9 +426,27 @@ def _certified_counts(q: np.ndarray, sample: Sample, cover: SphericalCover) -> t
     thresholds = template.copy()
     np.subtract(at, radius * cover.psi + slack, out=thresholds.imag[0])
     np.add(at, TIE_RTOL * radius + slack, out=thresholds.imag[1])
-    counts = np.searchsorted(keys, thresholds, side="right")
-    counts -= offsets
-    lower, upper = counts.min(axis=1).tolist()
+    if threading.current_thread() is not threading.main_thread():
+        counts = np.searchsorted(keys, thresholds, side="right")
+        counts -= offsets
+        lower, upper = counts.min(axis=1).tolist()
+        return lower, upper, radius
+    # Each row's minimum over every _BOUND_STRIDE-th center is an exact
+    # upper bound U on its minimum. A center whose sorted projection at
+    # index min(U, n - 1) is at most its threshold counts more than
+    # min(U, n - 1) points, so at least U, and cannot beat U; only the
+    # rest, less the centers already searched, are searched.
+    bound = np.searchsorted(keys, thresholds[:, ::_BOUND_STRIDE], side="right")
+    bound -= offsets[::_BOUND_STRIDE]
+    bound = bound.min(axis=1)
+    probe = keys.imag[np.minimum(bound, sample.n - 1)[:, None] + offsets]
+    candidates = probe > thresholds.imag
+    candidates[:, ::_BOUND_STRIDE] = False
+    rows, centers = np.nonzero(candidates)
+    counts = np.searchsorted(keys, thresholds[rows, centers], side="right")
+    counts -= offsets[centers]
+    np.minimum.at(bound, rows, counts)
+    lower, upper = bound.tolist()
     return lower, upper, radius
 
 
@@ -446,8 +488,11 @@ def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
     upper-bounds the exact depth; the count at q.c - R*psi lower-bounds
     it. The sample's projection onto the cover is sorted once and kept
     (Sample._projection); a query then costs one product with the
-    centers and one binary search of its 2m thresholds into the flat
-    keys, O(m log(mn)).
+    centers, binary searches into the flat keys for the thresholds of
+    every 8th center and of the k centers whose count can still beat
+    theirs, O((m/8 + k) log(mn)), and one O(m) gather that finds those k
+    (_certified_counts). Off the main thread a query makes one search of
+    all 2m thresholds, O(m log(mn)), which lets other threads run.
     """
     q = _certified_block(np.reshape(q, (1, -1)), sample, cover)[0]
     lower, upper, radius = _certified_counts(q, sample, cover)
@@ -494,10 +539,6 @@ def _ks_terms(f: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
 # Probability margin of the rank thresholds, far above the rounding of
 # ndtr and ndtri.
 _KS_MARGIN = 1e-9
-
-# sup_deviation's lower bound is the exact KS over every _BOUND_STRIDE-th
-# direction.
-_BOUND_STRIDE = 8
 
 
 def _ks_rank_thresholds(n: int, bound: float) -> tuple[np.ndarray, np.ndarray]:

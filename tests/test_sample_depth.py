@@ -14,12 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from halfdepth.experiments import auto_queries, draw_sample, split_seed
 from halfdepth.geometry import SphericalCover, build_cover
 from halfdepth.population import standard_normal
 from halfdepth.sample_depth import (
+    _BOUND_STRIDE,
+    TIE_RTOL,
     DepthInterval,
     DepthValue,
     Sample,
+    _certified_counts,
     depth_1d,
     depth_approx,
     depth_brute,
@@ -656,6 +660,139 @@ def test_depth_cover_dimension_mismatch():
     cover = build_cover(2, 0.2)
     with pytest.raises(ValueError):
         depth_approx([0.0, 0.0, 0.0], s, cover)
+
+
+# ---------------------------------------------------- pruned certified minimum
+
+
+def _full_search(q, sample, cover):
+    """The unpruned certified kernel, kept as the reference: both thresholds
+    of every center searched into the kept keys. Returns the (2, m) counts,
+    whose row minima are (lower, upper), and R."""
+    _, columns, keys, template, offsets = sample._projection(cover)
+    squares = columns - q[:, None]
+    squares *= squares
+    for row in squares[1:]:
+        squares[0] += row
+    radius = math.sqrt(squares[0].max())
+    offset = q - sample.points[0]
+    distance = math.sqrt(np.add.reduce(offset * offset))
+    slack = 2.0 * (sample.dim + 4) * float(np.finfo(float).eps) * (radius + 2.0 * distance)
+    at = cover.centers @ offset
+    thresholds = template.copy()
+    np.subtract(at, radius * cover.psi + slack, out=thresholds.imag[0])
+    np.add(at, TIE_RTOL * radius + slack, out=thresholds.imag[1])
+    return np.searchsorted(keys, thresholds, side="right") - offsets, radius
+
+
+def _pruned_searches(counts, n):
+    """Thresholds the pruned kernel searches, given the full (2, m) counts:
+    every _BOUND_STRIDE-th center's, then, outside those, every center whose
+    count is at most min(U, n - 1), U the row's minimum over the stride."""
+    bound = counts[:, ::_BOUND_STRIDE].min(axis=1, keepdims=True)
+    survive = counts <= np.minimum(bound, n - 1)
+    survive[:, ::_BOUND_STRIDE] = False
+    return counts[:, ::_BOUND_STRIDE].size + int(np.count_nonzero(survive))
+
+
+def _spy_on_searchsorted(monkeypatch):
+    """A list that gathers the number of keys of every np.searchsorted call."""
+    searched, search = [], np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return searched
+
+
+@lru_cache(maxsize=None)
+def _oracle_covers(d):
+    """The harness-sized covers (159 centers in d=2 at psi=0.02, 187 in d=3 at
+    psi=0.2, 512 in d=4 at psi=0.5) and, in d=2, the 4 axes at psi=0.78,
+    fewer centers than one stride."""
+    cover = build_cover(d, {2: 0.02, 3: 0.2, 4: 0.5}[d])
+    if d > 2:
+        return (cover,)
+    return cover, SphericalCover(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), 0.78)
+
+
+def _oracle_case(rng, d, n, data):
+    """Points and queries: up to three sample points, the mean, two points
+    far outside (where U reaches 0) and two near the data. A coincident
+    sample queried at its point, and n=1, put U at n."""
+    if data == "grid":
+        pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+        pts[n // 2] = pts[0]
+    elif data == "coincident":
+        pts = np.tile(rng.integers(-3, 4, size=(1, d)).astype(float), (n, 1))
+    else:
+        pts = rng.normal(size=(n, d))
+    scale, shift = {"wide-far": (2.0**20, 2.0**30), "narrow-far": (2.0**-20, 2.0**30)}.get(data, (1.0, 0.0))
+    pts = pts * scale + shift
+    mean = pts.mean(axis=0)
+    away = rng.normal(size=(2, d))
+    away *= 1e3 * scale / np.linalg.norm(away, axis=1, keepdims=True)
+    near = mean + rng.normal(size=(2, d)) * scale
+    return pts, np.vstack([pts[:3], mean, mean + away, near])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("data", ["normal", "grid", "coincident", "wide-far", "narrow-far"])
+def test_certified_counts_equal_the_full_search(d, data, monkeypatch):
+    # Equal (lower, upper, R) bit for bit, and exactly the thresholds that
+    # the probe at min(U, n - 1) leaves are searched: a probe one index off,
+    # a >= for its >, or a missing clamp changes what is searched, where it
+    # changes no count.
+    rng = np.random.default_rng(1000 * d + len(data))
+    searched = _spy_on_searchsorted(monkeypatch)
+    reached = set()
+    for cover in _oracle_covers(d):
+        for n in (1, 2, 3, 10, 300) * 3:
+            pts, qs = _oracle_case(rng, d, n, data)
+            s = Sample(pts)
+            for q in qs:
+                counts, radius = _full_search(q, s, cover)
+                lower, upper = counts.min(axis=1).tolist()
+                searched.clear()
+                assert _certified_counts(q, s, cover) == (lower, upper, radius)
+                assert sum(searched) == _pruned_searches(counts, n)
+                bound = counts[:, ::_BOUND_STRIDE].min(axis=1)
+                reached.update("0" if u == 0 else "n" for u in bound.tolist() if u in (0, n))
+    assert {"0", "n"} <= reached
+
+
+def test_certified_counts_search_few_thresholds(monkeypatch):
+    # The harness's d=3 case: n=300 against the 187 centers at psi=0.2, the
+    # 25 auto queries, 20 seeded samples. A query searches at most a third
+    # of its 2m thresholds on average, and its counts equal the full search.
+    dist = standard_normal(3)
+    cover = build_cover(3, 0.2)
+    queries = auto_queries(dist)
+    samples = [draw_sample(dist, 300, np.random.default_rng(split_seed(4242, k))) for k in range(20)]
+    want = [[_full_search(q, s, cover) for q in queries] for s in samples]
+    searched = _spy_on_searchsorted(monkeypatch)
+    for s, rows in zip(samples, want):
+        for q, (counts, radius) in zip(queries, rows):
+            assert _certified_counts(q, s, cover) == (*counts.min(axis=1).tolist(), radius)
+    per_query = sum(searched) / (len(samples) * len(queries))
+    assert 0 < per_query <= 2 * cover.centers.shape[0] / 3
+
+
+def test_certified_counts_search_every_threshold_in_one_call_off_the_main_thread(monkeypatch):
+    # On a worker thread, as on the harness's pool, a query makes one search
+    # of all 2m thresholds, so numpy's release of the GIL is long enough for
+    # the other threads to run; the counts are the same.
+    cover = build_cover(3, 0.2)
+    queries = auto_queries(standard_normal(3))
+    samples = [draw_sample(standard_normal(3), 300, np.random.default_rng(split_seed(4242, k))) for k in range(3)]
+    want = [[_full_search(q, s, cover) for q in queries] for s in samples]
+    searched = _spy_on_searchsorted(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        got = pool.submit(lambda: [[_certified_counts(q, s, cover) for q in queries] for s in samples])
+        assert got.result(timeout=60) == [[(*c.min(axis=1).tolist(), r) for c, r in rows] for rows in want]
+    assert searched == [2 * cover.centers.shape[0]] * (len(samples) * len(queries))
 
 
 # ------------------------------------------------------------- ks / sup stats
