@@ -221,6 +221,8 @@ def cmd_bound(args) -> int:
 def cmd_experiment(args) -> int:
     if args.config:
         cfg_data = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg_data, dict):
+            raise ValueError(f"experiment config must be an object, got {cfg_data!r}")
         if args.jobs is not None:
             cfg_data["jobs"] = args.jobs
         if "seed" not in cfg_data:

@@ -62,10 +62,12 @@ def draw_sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Sam
 class ExperimentConfig:
     """Everything a deviation experiment needs, fixed up front.
 
-    queries is "auto" (a deterministic radial grid, see auto_queries) or an
-    explicit tuple of points. kinds are bound identifiers from BOUND_KINDS.
-    psi may be omitted (None) for d=1, where no cover is involved; for
-    d >= 2 a None psi falls back to eps / (10 (ltheta + 2 sqrt(d) lpi)).
+    queries is "auto" (a deterministic radial grid, see auto_queries) or a
+    nonempty list of d-coordinate points, kept as a tuple of tuples. kinds
+    is a list or tuple of bound identifiers from BOUND_KINDS. psi may be
+    omitted (None) for d=1, where no cover is involved; for d >= 2 a None
+    psi falls back to eps / (10 (ltheta + 2 sqrt(d) lpi)). A malformed
+    field raises a ValueError that names it, before any trial runs.
     """
 
     dist: DistributionSpec
@@ -82,6 +84,8 @@ class ExperimentConfig:
     r: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.dist, DistributionSpec):
+            raise ValueError(f"dist must be a distribution object, got {self.dist!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0.0 < self.eps <= 1.0):
@@ -90,17 +94,24 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not isinstance(self.kinds, (list, tuple)):
+            raise ValueError(f"kinds must be a list of bound kinds, got {self.kinds!r}")
         unknown = [k for k in self.kinds if k not in BOUND_KINDS]
         if unknown:
             raise ValueError(f"unknown bound kinds {unknown}; expected ones of {BOUND_KINDS}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        if self.queries != "auto":
-            pts = tuple(tuple(float(c) for c in row) for row in self.queries)
-            if any(len(row) != self.dist.d for row in pts):
+        if not (isinstance(self.queries, str) and self.queries == "auto"):
+            try:
+                pts = np.asarray(self.queries, dtype=float)
+            except (TypeError, ValueError):
+                pts = np.empty(0)
+            if pts.ndim != 2 or not len(pts):
+                raise ValueError(f'queries must be "auto" or a nonempty list of points, got {self.queries!r}')
+            if pts.shape[1] != self.dist.d:
                 raise ValueError(f"every query must have dimension {self.dist.d}")
-            if not all(math.isfinite(c) for row in pts for c in row):
+            if not np.isfinite(pts).all():
                 raise ValueError("every query must have finite coordinates")
-            object.__setattr__(self, "queries", pts)
+            object.__setattr__(self, "queries", tuple(map(tuple, pts.tolist())))
 
     def effective_psi(self) -> float | None:
         if self.dist.d == 1:
@@ -130,23 +141,22 @@ class ExperimentConfig:
         dist = data["dist"]
         if isinstance(dist, dict):
             dist = DistributionSpec.from_dict(dist)
-        queries = data.get("queries", "auto")
-        if queries != "auto":
-            queries = tuple(tuple(row) for row in queries)
-        return cls(
-            dist=dist,
-            n=int(data["n"]),
-            eps=float(data["eps"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
-            psi=None if data.get("psi") is None else float(data["psi"]),
-            queries=queries,
-            kinds=tuple(data.get("kinds", ())),
-            jobs=int(data.get("jobs", 1)),
-            c2=float(data.get("c2", 1.0)),
-            delta=None if data.get("delta") is None else float(data["delta"]),
-            r=None if data.get("r") is None else float(data["r"]),
-        )
+        numbers = {}
+        for key, convert, default in _CONFIG_NUMBERS:
+            value = data[key] if default is ... else data.get(key, default)
+            try:
+                numbers[key] = None if value is None and default is None else convert(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be a number, got {value!r}") from None
+        return cls(dist=dist, queries=data.get("queries", "auto"), kinds=data.get("kinds", ()), **numbers)
+
+
+# The numeric fields of a config object as (name, type, default). A field
+# with default ... is required; one with default None may be null.
+_CONFIG_NUMBERS = (
+    ("n", int, ...), ("eps", float, ...), ("trials", int, ...), ("seed", int, ...),
+    ("psi", float, None), ("jobs", int, 1), ("c2", float, 1.0), ("delta", float, None), ("r", float, None),
+)
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,12 @@ class ExperimentResult:
 
     def exceedance_at(self, eps: float) -> float:
         """Fraction of trials whose sup deviation reached eps."""
-        return sum(1 for t in self.trials if t.sup_deviation >= eps) / len(self.trials)
+        return _exceedance(self.trials, eps)
+
+
+def _exceedance(trials, eps: float) -> float:
+    """Fraction of the trials whose sup deviation reached eps."""
+    return sum(1 for t in trials if t.sup_deviation >= eps) / len(trials)
 
 
 def auto_queries(dist: DistributionSpec) -> np.ndarray:
@@ -255,7 +270,7 @@ def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
         # The sample depth error at any query is at most the true sup
         # deviation, which exceeds the cover-restricted estimate by at
         # most (ltheta + lpi * R_q) * psi; record the worst margin.
-        allowance = sup + (cfg.dist.ltheta + cfg.dist.lpi * _query_radii(queries, sample)) * cover.psi
+        allowance = sup + (cfg.dist.ltheta + cfg.dist.lpi * _query_radii(queries, sample.points.T)) * cover.psi
         slack_margin = float((np.asarray(errors) - allowance).max())
     return TrialResult(
         index=index,
@@ -340,7 +355,7 @@ def run_deviation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             trials = list(pool.map(lambda i: _run_trial(cfg, cover, queries, pop_depths, i), indices))
     trials.sort(key=lambda t: t.index)
 
-    exceedance = sum(1 for t in trials if t.sup_deviation >= cfg.eps) / cfg.trials
+    exceedance = _exceedance(trials, cfg.eps)
     comparisons, validity_ok, findings = _compare_bounds(cfg, reports, exceedance)
     return ExperimentResult(
         config=cfg,

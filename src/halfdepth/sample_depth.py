@@ -189,10 +189,17 @@ class Sample:
         return cls(np.asarray(pts, dtype=float))
 
 
-def _query_radii(queries: np.ndarray, sample: Sample) -> np.ndarray:
-    """R_q = max_i |x_i - q| for each row q of a (Q, d) block of queries."""
-    squares = sum((sample.points[:, k] - queries[:, k, None]) ** 2 for k in range(sample.dim))
-    return np.sqrt(squares.max(axis=1))
+def _query_radii(queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """R_q = max_i |x_i - q| for each row q of a (Q, d) block of queries,
+    from the sample's (d, n) coordinate rows. The rows are made contiguous
+    first: numpy runs the (Q, d, n) differences along n, and strided rows
+    made that about 3x slower."""
+    squares = np.ascontiguousarray(columns) - queries[:, :, None]
+    squares *= squares
+    total = squares[:, 0]
+    for k in range(1, len(columns)):
+        total += squares[:, k]
+    return np.sqrt(total.max(axis=1))
 
 
 def _check_finite(queries: np.ndarray) -> None:
@@ -375,41 +382,32 @@ _EPS = float(np.finfo(float).eps)
 _BOUND_STRIDE = 8
 
 
-def _certified_block(queries, sample: Sample, cover: SphericalCover) -> np.ndarray:
-    """queries as a finite (Q, d) float array matching the sample and the cover."""
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != sample.dim or cover.d != sample.dim:
-        raise ValueError(
-            f"dimension mismatch: sample d={sample.dim}, queries {queries.shape}, cover {cover.d}"
-        )
-    _check_finite(queries)
-    return queries
-
-
-def _certified_counts(q: np.ndarray, sample: Sample, cover: SphericalCover) -> tuple[int, int, float]:
-    """(lower, upper, R) counts of one validated query; see depth_certified.
+def _certified_counts(
+    queries: np.ndarray, sample: Sample, cover: SphericalCover
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, R) of a validated (Q, d) block of queries as intp,
+    intp and float arrays; see depth_certified. This is the one certified
+    kernel: every entry calls it once, whatever the size of its block.
 
     Each count is a minimum over the centers of a closed count below a
-    threshold, one threshold row per bound. It searches the thresholds of
-    every _BOUND_STRIDE-th center, gathers every center's sorted projection
-    at one index per row, and searches only the centers that gather cannot
-    rule out, so the result is the minimum over all 2m searches bit for
-    bit. When every center ties at that bound, as for a sample whose
-    points all coincide, every center is searched.
+    threshold. A query has two threshold rows, one per bound: row i holds
+    query i's lower thresholds and row Q + i its upper ones, 2Q rows of m
+    in all. It searches the thresholds of every _BOUND_STRIDE-th center,
+    gathers every center's sorted projection at one index per row, and
+    searches only the centers that gather cannot rule out, each step one
+    numpy call for the whole block, so the result is the minimum over all
+    2Qm searches bit for bit. When every center ties at that bound, as for
+    a sample whose points all coincide, every center is searched.
 
     Off the main thread, as on the harness's thread pool, it searches all
-    2m thresholds in one call instead. numpy releases the GIL for a
-    search, and only a long release lets the other threads run meanwhile:
-    on a 2-vCPU host a 2-thread pool ran d=3 trials faster than one thread
-    with the one search, and slower with the pruned one, whose searches
-    are short.
+    2Qm thresholds in one call instead, for a block of any size. numpy
+    releases the GIL for a search, and only a long release lets the other
+    threads run meanwhile: on a 2-vCPU host a 2-thread pool ran d=3 trials
+    faster than one thread with the one search, and slower with the pruned
+    one, whose searches are short.
     """
     _, columns, keys, template, offsets = sample._projection(cover)
-    squares = columns - q[:, None]
-    squares *= squares
-    for row in squares[1:]:
-        squares[0] += row
-    radius = math.sqrt(squares[0].max())
+    radii = _query_radii(queries, columns)
     # Projections are taken about x0 = points[0]. (x - x0).c and (q - x0).c
     # are rounded separately, so their difference is off from the exact
     # (x - q).c by at most about (d + 1) u (|x - x0| + |q - x0|), u = eps / 2.
@@ -418,52 +416,56 @@ def _certified_counts(q: np.ndarray, sample: Sample, cover: SphericalCover) -> t
     # slack = 4 (d + 4) u (R + 2 |q - x0|) keeps each lower count below the
     # exact count at -R psi and each point on a boundary inside the upper
     # count, in any dimension, and scales with the spread of the data, not
-    # with its offset.
-    offset = q - sample.points[0]
-    distance = math.sqrt(np.add.reduce(offset * offset))
-    slack = 2.0 * (sample.dim + 4) * _EPS * (radius + 2.0 * distance)
-    at = cover.centers @ offset
-    thresholds = template.copy()
-    np.subtract(at, radius * cover.psi + slack, out=thresholds.imag[0])
-    np.add(at, TIE_RTOL * radius + slack, out=thresholds.imag[1])
+    # with its offset. Each row's slack is Python float arithmetic, with one
+    # product per query: for a one-row block, the harness's call, that costs
+    # less than array operations over the block.
+    nq = len(queries)
+    thresholds = template.repeat(nq, 0)
+    values, x0, scale = thresholds.imag, sample.points[0], 2.0 * (sample.dim + 4) * _EPS
+    for i, radius in enumerate(radii.tolist()):
+        offset = queries[i] - x0
+        distance = math.sqrt(np.add.reduce(offset * offset))
+        slack = scale * (radius + 2.0 * distance)
+        at = cover.centers @ offset
+        np.subtract(at, radius * cover.psi + slack, out=values[i])
+        np.add(at, TIE_RTOL * radius + slack, out=values[nq + i])
     if threading.current_thread() is not threading.main_thread():
         counts = np.searchsorted(keys, thresholds, side="right")
         counts -= offsets
-        lower, upper = counts.min(axis=1).tolist()
-        return lower, upper, radius
-    # Each row's minimum over every _BOUND_STRIDE-th center is an exact
-    # upper bound U on its minimum. A center whose sorted projection at
-    # index min(U, n - 1) is at most its threshold counts more than
-    # min(U, n - 1) points, so at least U, and cannot beat U; only the
-    # rest, less the centers already searched, are searched.
-    bound = np.searchsorted(keys, thresholds[:, ::_BOUND_STRIDE], side="right")
-    bound -= offsets[::_BOUND_STRIDE]
-    bound = bound.min(axis=1)
-    probe = keys.imag[np.minimum(bound, sample.n - 1)[:, None] + offsets]
-    candidates = probe > thresholds.imag
-    candidates[:, ::_BOUND_STRIDE] = False
-    rows, centers = np.nonzero(candidates)
-    counts = np.searchsorted(keys, thresholds[rows, centers], side="right")
-    counts -= offsets[centers]
-    np.minimum.at(bound, rows, counts)
-    lower, upper = bound.tolist()
-    return lower, upper, radius
+        bound = counts.min(axis=1)
+    else:
+        # Each row's minimum over every _BOUND_STRIDE-th center is an exact
+        # upper bound U on its minimum. A center whose sorted projection at
+        # index min(U, n - 1) is at most its threshold counts more than
+        # min(U, n - 1) points, so at least U, and cannot beat U; only the
+        # rest, less the centers already searched, are searched.
+        bound = np.searchsorted(keys, thresholds[:, ::_BOUND_STRIDE], side="right")
+        bound -= offsets[::_BOUND_STRIDE]
+        bound = bound.min(axis=1)
+        probe = keys.imag[np.minimum(bound, sample.n - 1)[:, None] + offsets]
+        candidates = probe > values
+        candidates[:, ::_BOUND_STRIDE] = False
+        rows, centers = np.nonzero(candidates)
+        counts = np.searchsorted(keys, thresholds[rows, centers], side="right")
+        counts -= offsets[centers]
+        np.minimum.at(bound, rows, counts)
+    return bound[:nq], bound[nq:], radii
 
 
 def depth_certified_many(
     queries, sample: Sample, cover: SphericalCover
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified depth counts (lower, upper, radius) for a (Q, d) block of
-    queries: the per-query kernel of depth_certified over each row, so its
-    entries are the single-query results bit for bit. lower and upper are
-    intp arrays and radius a float array, one entry per query."""
-    queries = _certified_block(queries, sample, cover)
-    lower = np.empty(len(queries), dtype=np.intp)
-    upper = np.empty(len(queries), dtype=np.intp)
-    radius = np.empty(len(queries))
-    for i, q in enumerate(queries):
-        lower[i], upper[i], radius[i] = _certified_counts(q, sample, cover)
-    return lower, upper, radius
+    queries, from one call of the certified kernel (_certified_counts):
+    lower and upper are intp arrays and radius a float array, one entry per
+    query. A row's entries do not depend on the other rows of the block."""
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != sample.dim or cover.d != sample.dim:
+        raise ValueError(
+            f"dimension mismatch: sample d={sample.dim}, queries {queries.shape}, cover {cover.d}"
+        )
+    _check_finite(queries)
+    return _certified_counts(queries, sample, cover)
 
 
 def depth_approx(q, sample: Sample, cover: SphericalCover) -> DepthValue:
@@ -472,11 +474,10 @@ def depth_approx(q, sample: Sample, cover: SphericalCover) -> DepthValue:
     Always an upper bound for the exact depth (the minimum over all
     directions), whatever the directions; exact whenever the cover happens
     to contain a minimizing direction. It is the upper end of
-    depth_certified, from the same kernel.
+    depth_certified: a one-row depth_certified_many.
     """
-    q = _certified_block(np.reshape(q, (1, -1)), sample, cover)[0]
-    _, upper, _ = _certified_counts(q, sample, cover)
-    return DepthValue(count=upper, n=sample.n)
+    _, upper, _ = depth_certified_many(np.asarray(q, dtype=float).reshape(1, -1), sample, cover)
+    return DepthValue(count=upper.item(), n=sample.n)
 
 
 def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
@@ -486,18 +487,18 @@ def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
     cover center differ by at most R*psi, where R is the largest sample
     distance from q. The closed count at q.c over the centers
     upper-bounds the exact depth; the count at q.c - R*psi lower-bounds
-    it. The sample's projection onto the cover is sorted once and kept
-    (Sample._projection); a query then costs one product with the
-    centers, binary searches into the flat keys for the thresholds of
-    every 8th center and of the k centers whose count can still beat
-    theirs, O((m/8 + k) log(mn)), and one O(m) gather that finds those k
-    (_certified_counts). Off the main thread a query makes one search of
-    all 2m thresholds, O(m log(mn)), which lets other threads run.
+    it. It is a one-row depth_certified_many. The sample's projection onto
+    the cover is sorted once and kept (Sample._projection); a block of Q
+    queries then costs Q products with the centers, binary searches into
+    the flat keys for the thresholds of every 8th center and of the k
+    centers whose count can still beat theirs, O((Qm/8 + k) log(mn)), and
+    one O(Qm) gather that finds those k (_certified_counts). Off the main
+    thread a call of any size makes one search of all 2Qm thresholds,
+    O(Qm log(mn)), which lets other threads run.
     """
-    q = _certified_block(np.reshape(q, (1, -1)), sample, cover)[0]
-    lower, upper, radius = _certified_counts(q, sample, cover)
+    lower, upper, radius = depth_certified_many(np.asarray(q, dtype=float).reshape(1, -1), sample, cover)
     n = sample.n
-    return DepthInterval(lower=lower / n, upper=upper / n, psi=cover.psi, radius=radius)
+    return DepthInterval(lower=lower.item() / n, upper=upper.item() / n, psi=cover.psi, radius=radius.item())
 
 
 def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:

@@ -472,6 +472,47 @@ def test_d2_experiment_leaves_scipy_spatial_out():
     assert proc.stdout.strip() == "ok"
 
 
+@pytest.mark.parametrize(
+    "d, field, value",
+    [
+        (3, "queries", []),
+        (2, "queries", []),
+        (3, "queries", [0.1, 0.2, 0.3]),
+        (2, "queries", "center"),
+        (2, "dist", 5),
+        (2, "kinds", "dkw"),
+        (2, "n", None),
+        (2, "jobs", "two"),
+    ],
+    ids=[
+        "no-queries-d3", "no-queries-d2", "flat-queries", "named-queries", "dist-number", "kinds-string",
+        "null-n", "named-jobs",
+    ],
+)
+def test_experiment_rejects_a_malformed_config_before_any_trial(capsys, tmp_path, monkeypatch, d, field, value):
+    calls = []
+    monkeypatch.setattr(expmod, "_run_trial", lambda *args: calls.append(args))
+    data = {"dist": standard_normal(d).to_dict(), "n": 30, "eps": 0.3, "trials": 4, "seed": 1, "psi": 0.3}
+    data[field] = value
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be")
+    assert calls == []
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_experiment_rejects_a_config_that_is_not_an_object(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--jobs", "2", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: experiment config must be an object, got [1, 2]\n"
+
+
 def test_experiment_requires_seed(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "experiment", "--dist", "standard_normal", "--d", "1",

@@ -117,6 +117,13 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig(dist=dist, n=1, eps=0.1, trials=1, seed=0, queries=((0.0, 0.0), (bad, 0.0)))
+    for field, value in (("queries", ()), ("queries", (0.1, 0.2)), ("queries", "center"), ("dist", 5), ("kinds", "dkw")):
+        base = dict(dist=dist, n=1, eps=0.1, trials=1, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(**{**base, field: value})
+        data = {**ExperimentConfig(**base).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig.from_dict(data)
 
 
 def test_effective_psi_default():

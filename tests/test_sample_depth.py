@@ -546,11 +546,18 @@ _KERNEL_CASES = pytest.mark.parametrize(
 
 @_KERNEL_CASES
 def test_certified_many_on_an_empty_block_returns_empty_arrays(d, data):
+    # On the main thread and off it, where the kernel takes its other path.
     pts, _ = _kernel_case(d, data)
-    lower, upper, radius = depth_certified_many(np.empty((0, d)), Sample(pts), _kernel_covers(d)[0])
-    assert lower.shape == upper.shape == radius.shape == (0,)
-    assert lower.dtype == upper.dtype == np.intp
-    assert radius.dtype == float
+
+    def call():
+        return depth_certified_many(np.empty((0, d)), Sample(pts), _kernel_covers(d)[0])
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        off_main = pool.submit(call).result(timeout=60)
+    for lower, upper, radius in (call(), off_main):
+        assert lower.shape == upper.shape == radius.shape == (0,)
+        assert lower.dtype == upper.dtype == np.intp
+        assert radius.dtype == float
 
 
 @_KERNEL_CASES
@@ -756,7 +763,7 @@ def test_certified_counts_equal_the_full_search(d, data, monkeypatch):
                 counts, radius = _full_search(q, s, cover)
                 lower, upper = counts.min(axis=1).tolist()
                 searched.clear()
-                assert _certified_counts(q, s, cover) == (lower, upper, radius)
+                assert [a.tolist() for a in _certified_counts(q[None], s, cover)] == [[lower], [upper], [radius]]
                 assert sum(searched) == _pruned_searches(counts, n)
                 bound = counts[:, ::_BOUND_STRIDE].min(axis=1)
                 reached.update("0" if u == 0 else "n" for u in bound.tolist() if u in (0, n))
@@ -775,7 +782,8 @@ def test_certified_counts_search_few_thresholds(monkeypatch):
     searched = _spy_on_searchsorted(monkeypatch)
     for s, rows in zip(samples, want):
         for q, (counts, radius) in zip(queries, rows):
-            assert _certified_counts(q, s, cover) == (*counts.min(axis=1).tolist(), radius)
+            expected = [[c] for c in counts.min(axis=1).tolist()] + [[radius]]
+            assert [a.tolist() for a in _certified_counts(q[None], s, cover)] == expected
     per_query = sum(searched) / (len(samples) * len(queries))
     assert 0 < per_query <= 2 * cover.centers.shape[0] / 3
 
@@ -790,9 +798,42 @@ def test_certified_counts_search_every_threshold_in_one_call_off_the_main_thread
     want = [[_full_search(q, s, cover) for q in queries] for s in samples]
     searched = _spy_on_searchsorted(monkeypatch)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        got = pool.submit(lambda: [[_certified_counts(q, s, cover) for q in queries] for s in samples])
-        assert got.result(timeout=60) == [[(*c.min(axis=1).tolist(), r) for c, r in rows] for rows in want]
+        got = pool.submit(
+            lambda: [[[a.tolist() for a in _certified_counts(q[None], s, cover)] for q in queries] for s in samples]
+        )
+        expected = [[[[c] for c in counts.min(axis=1).tolist()] + [[r]] for counts, r in rows] for rows in want]
+        assert got.result(timeout=60) == expected
     assert searched == [2 * cover.centers.shape[0]] * (len(samples) * len(queries))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("data", ["normal", "grid", "coincident", "wide-far", "narrow-far"])
+def test_certified_counts_of_a_block_equal_the_full_search_row_by_row(d, data, monkeypatch):
+    # One block holds a case's queries and a duplicate of its first one.
+    # Every row is the full search's (lower, upper, R) bit for bit. On the
+    # main thread the block makes two searches, the stride's and the
+    # candidates', which together search exactly the thresholds its rows
+    # would alone; on a worker thread it makes one search of all 2Qm.
+    rng = np.random.default_rng(2000 * d + len(data))
+    searched = _spy_on_searchsorted(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for cover in _oracle_covers(d):
+            for n in (1, 2, 3, 10, 300):
+                pts, qs = _oracle_case(rng, d, n, data)
+                s = Sample(pts)
+                block = np.vstack([qs, qs[:1]])
+                full = [_full_search(q, s, cover) for q in block]
+                expected = [[c[0].min() for c, _ in full], [c[1].min() for c, _ in full], [r for _, r in full]]
+                searched.clear()
+                got = _certified_counts(block, s, cover)
+                assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
+                assert [a.tolist() for a in got] == expected
+                assert len(searched) == 2
+                assert sum(searched) == sum(_pruned_searches(counts, n) for counts, _ in full)
+                searched.clear()
+                got = pool.submit(_certified_counts, block, s, cover).result(timeout=60)
+                assert [a.tolist() for a in got] == expected
+                assert searched == [2 * len(block) * cover.centers.shape[0]]
 
 
 # ------------------------------------------------------------- ks / sup stats
