@@ -67,32 +67,16 @@ def _parse_sample_arg(text: str) -> Sample:
         return Sample.from_csv(path)
     stripped = text.strip()
     if stripped and set(stripped) <= _INLINE_CHARS:
-        rows = [r for r in stripped.split(";") if r.strip()]
-        if ";" in stripped:
-            pts = [[float(tok) for tok in row.split(",") if tok.strip()] for row in rows]
-        else:
-            # A bare comma list is a one-dimensional sample.
-            pts = [[float(tok)] for tok in stripped.split(",") if tok.strip()]
-        return Sample(np.asarray(pts, dtype=float))
+        # Inline data skips blank points and empty tokens; a bare comma
+        # list is a one-dimensional sample.
+        points = stripped.split(";") if ";" in stripped else stripped.split(",")
+        tokens = [[tok for tok in point.split(",") if tok.strip()] for point in points]
+        return Sample.from_rows(((i + 1, row) for i, row in enumerate(tokens) if row), "inline sample")
     raise ValueError(f"sample {text!r} is neither an existing file nor an inline numeric list")
 
 
 def _load_cover(path: str) -> SphericalCover:
     return SphericalCover.from_dict(json.loads(Path(path).read_text()))
-
-
-def _load_dist(args, default_d: int | None = None) -> DistributionSpec:
-    if getattr(args, "dist_file", None):
-        return DistributionSpec.from_dict(json.loads(Path(args.dist_file).read_text()))
-    name = getattr(args, "dist", None) or "standard_normal"
-    if name != "standard_normal":
-        raise ValueError(
-            f"distribution {name!r} needs a JSON spec file; pass it with --dist-file"
-        )
-    d = getattr(args, "d", None) or default_d
-    if d is None:
-        raise ValueError("specify the dimension with --d (or provide --dist-file)")
-    return standard_normal(int(d))
 
 
 def _emit(payload, out: str | None) -> None:
@@ -105,17 +89,11 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_seed(args, why: str) -> int:
-    if args.seed is None:
-        raise ValueError(f"{why} consumes randomness; pass an explicit --seed")
-    return int(args.seed)
-
-
 def _make_cover(args, d: int, certified: bool = False) -> SphericalCover:
     """The cover of --cover FILE or --psi RADIUS. A certified depth trusts
     the cover's psi, so a loaded cover must first pass the exact check;
     an approximate depth is an upper bound over any directions."""
-    if getattr(args, "cover", None):
+    if args.cover:
         cover = _load_cover(args.cover)
         if cover.d != d:
             raise ValueError(f"cover has dimension {cover.d}, expected {d}")
@@ -127,7 +105,7 @@ def _make_cover(args, d: int, certified: bool = False) -> SphericalCover:
                     f"cover {args.cover} cannot certify a depth: {exc}; pass --psi RADIUS to build a proven cover"
                 ) from None
         return cover
-    if getattr(args, "psi", None) is None:
+    if args.psi is None:
         raise ValueError("this method needs a direction cover; pass --cover FILE or --psi RADIUS")
     return build_cover(d, args.psi)
 
@@ -136,7 +114,10 @@ def cmd_depth(args) -> int:
     method = args.method
     if method == "population":
         query = _parse_query(args.query)
-        dist = _load_dist(args, default_d=query.shape[0])
+        if args.dist_file:
+            dist = DistributionSpec.from_dict(json.loads(Path(args.dist_file).read_text()))
+        else:
+            dist = standard_normal(query.shape[0])
         if query.shape[0] != dist.d:
             raise ValueError(f"query has dimension {query.shape[0]}, distribution has {dist.d}")
         _emit({"value": population_depth(dist, query)}, args.out)
@@ -166,7 +147,7 @@ def cmd_depth(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    _emit(_make_cover(args, args.d).to_dict(), args.out)
+    _emit(build_cover(args.d, args.psi).to_dict(), args.out)
     return 0
 
 
@@ -218,36 +199,23 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# The experiment flags that write over the config field of the same name.
+_CONFIG_FLAGS = ("n", "eps", "trials", "seed", "psi", "jobs", "c2", "delta", "r")
+
+
 def cmd_experiment(args) -> int:
-    if args.config:
-        cfg_data = json.loads(Path(args.config).read_text())
-        if not isinstance(cfg_data, dict):
-            raise ValueError(f"experiment config must be an object, got {cfg_data!r}")
-        if args.jobs is not None:
-            cfg_data["jobs"] = args.jobs
-        if "seed" not in cfg_data:
-            raise ValueError("experiment config must include an explicit seed")
-        cfg = ExperimentConfig.from_dict(cfg_data)
-    else:
-        for flag in ("n", "eps", "trials"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"experiment needs --{flag} (or a --config file)")
-        seed = _require_seed(args, "the experiment")
-        dist = _load_dist(args)
-        kinds = tuple(k for k in (args.kinds or "").split(",") if k)
-        cfg = ExperimentConfig(
-            dist=dist,
-            n=args.n,
-            eps=args.eps,
-            trials=args.trials,
-            seed=seed,
-            psi=args.psi,
-            kinds=kinds,
-            jobs=args.jobs if args.jobs is not None else 1,
-            c2=args.c2,
-            delta=args.delta,
-            r=args.r,
-        )
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"experiment config must be an object, got {data!r}")
+    flags = vars(args)
+    data.update({key: flags[key] for key in _CONFIG_FLAGS if flags[key] is not None})
+    if args.dist_file:
+        data["dist"] = json.loads(Path(args.dist_file).read_text())
+    elif args.d is not None:
+        data["dist"] = standard_normal(args.d)
+    if args.kinds is not None:
+        data["kinds"] = [k for k in args.kinds.split(",") if k]
+    cfg = ExperimentConfig.from_dict(data)
     result = run_deviation_experiment(cfg)
     paths = write_outputs(result, args.out_dir)
     for name in ("results", "summary", "plotdata"):
@@ -285,9 +253,10 @@ def cmd_oracle(args) -> int:
             _emit({"count": count, "n": sample.n}, args.out)
         return 0
     if args.oracle_cmd == "verify-cover":
-        seed = _require_seed(args, "cover verification")
+        if args.seed is None:
+            raise ValueError("cover verification consumes randomness; pass an explicit --seed")
         cover = _load_cover(args.file)
-        check = verify_cover(cover, args.trials, rng=np.random.default_rng(split_seed(seed, 0)))
+        check = verify_cover(cover, args.trials, rng=np.random.default_rng(split_seed(args.seed, 0)))
         _emit(check.to_dict(), args.out)
         return 0 if check.passed else 2
     if args.oracle_cmd == "brute":
@@ -299,8 +268,16 @@ def cmd_oracle(args) -> int:
     raise ValueError(f"unknown oracle command {args.oracle_cmd!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subparsers, that take flags only in full, so that a
+    removed flag such as --dist cannot resolve to --dist-file."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfdepth",
         description="Halfspace depth, sphere covers, deviation bounds, and Monte Carlo validation.",
     )
@@ -311,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["auto", "1d", "exact2d", "brute", "approx", "certified", "population"])
     p_depth.add_argument("--query", required=True, help="comma-separated coordinates")
     p_depth.add_argument("--sample", help="CSV/JSON file, or inline values like '1,2,3' / '0,0;1,0'")
-    p_depth.add_argument("--cover", help="cover JSON file for approx/certified")
-    p_depth.add_argument("--psi", type=float, help="build a cover of this radius instead")
-    p_depth.add_argument("--dist", help="population family name (standard_normal)")
-    p_depth.add_argument("--dist-file", help="population spec JSON file")
-    p_depth.add_argument("--d", type=int, help="dimension for --dist")
+    depth_cover = p_depth.add_mutually_exclusive_group()
+    depth_cover.add_argument("--cover", help="cover JSON file for approx/certified")
+    depth_cover.add_argument("--psi", type=float, help="build a cover of this radius instead")
+    p_depth.add_argument("--dist-file",
+                         help="population spec JSON file (default: the standard normal in the query's dimension)")
     p_depth.add_argument("--out", help="write JSON here instead of stdout")
     p_depth.set_defaults(func=cmd_depth)
 
@@ -345,11 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--out")
     p_bound.set_defaults(func=cmd_bound)
 
-    p_exp = sub.add_parser("experiment", help="run a seeded deviation experiment")
+    p_exp = sub.add_parser(
+        "experiment", help="run a seeded deviation experiment",
+        description="Every flag given writes over the --config field of the same name; "
+        "--dist-file or --d (the standard normal) sets dist.",
+    )
     p_exp.add_argument("--config", help="experiment config JSON")
-    p_exp.add_argument("--dist", help="population family name (standard_normal)")
-    p_exp.add_argument("--dist-file")
-    p_exp.add_argument("--d", type=int)
+    exp_dist = p_exp.add_mutually_exclusive_group()
+    exp_dist.add_argument("--dist-file", help="population spec JSON file")
+    exp_dist.add_argument("--d", type=int, help="dimension of a standard normal population")
     p_exp.add_argument("--n", type=int)
     p_exp.add_argument("--eps", type=float)
     p_exp.add_argument("--trials", type=int)
@@ -357,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--kinds", help="comma-separated bound kinds to compare")
     p_exp.add_argument("--jobs", type=int)
-    p_exp.add_argument("--c2", type=float, default=1.0)
+    p_exp.add_argument("--c2", type=float)
     p_exp.add_argument("--delta", type=float)
     p_exp.add_argument("--r", type=float)
     p_exp.add_argument("--out-dir", required=True)
@@ -367,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
 
     p_subsets = oracle_sub.add_parser("subsets", help="enumerate halfplane-cut subsets")
-    p_subsets.add_argument("--regular-ngon", type=int)
-    p_subsets.add_argument("--sample")
+    subsets_input = p_subsets.add_mutually_exclusive_group()
+    subsets_input.add_argument("--regular-ngon", type=int)
+    subsets_input.add_argument("--sample")
     p_subsets.add_argument("--out")
     p_subsets.set_defaults(func=cmd_oracle)
 

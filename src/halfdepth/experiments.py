@@ -138,12 +138,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        for key in ["dist"] + [name for name, _, default in _CONFIG_NUMBERS if default is ...]:
+            if key not in data:
+                raise ValueError(f"experiment config needs {key}")
         dist = data["dist"]
         if isinstance(dist, dict):
             dist = DistributionSpec.from_dict(dist)
         numbers = {}
         for key, convert, default in _CONFIG_NUMBERS:
-            value = data[key] if default is ... else data.get(key, default)
+            value = data.get(key, default)
             try:
                 numbers[key] = None if value is None and default is None else convert(value)
             except (TypeError, ValueError):

@@ -92,6 +92,11 @@ class SphericalCover:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SphericalCover":
+        if not isinstance(data, dict):
+            raise ValueError(f"cover dictionary must be an object, got {data!r}")
+        for key in ("centers", "psi"):
+            if key not in data:
+                raise ValueError(f"cover dictionary needs {key}")
         centers = np.asarray(data["centers"], dtype=float)
         if "d" in data and centers.ndim == 2 and centers.shape[1] != int(data["d"]):
             raise ValueError(

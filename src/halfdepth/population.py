@@ -103,7 +103,12 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistributionSpec":
-        family = data["family"]
+        if not isinstance(data, dict):
+            raise ValueError(f"distribution spec must be an object, got {data!r}")
+        family = data.get("family")
+        for key in ("family", "d", "mu", "sigma") if family == "elliptical_normal" else ("family", "d"):
+            if key not in data:
+                raise ValueError(f"distribution spec needs {key}")
         d = int(data["d"])
         if family == "standard_normal":
             base = standard_normal(d)

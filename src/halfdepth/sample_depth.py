@@ -145,31 +145,30 @@ class Sample:
     @classmethod
     def from_csv(cls, path) -> "Sample":
         """Load one point per line, comma-separated coordinates, no header."""
-        rows = []
-        width = None
-        text = Path(path).read_text()
-        for i, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            tokens = line.split(",")
+        lines = Path(path).read_text().splitlines()
+        return cls.from_rows(((i + 1, line.split(",")) for i, line in enumerate(lines) if line.strip()), "sample CSV")
+
+    @classmethod
+    def from_rows(cls, rows, label: str) -> "Sample":
+        """Build a sample from (row number, coordinate tokens) pairs. Every
+        row must be as wide as the first, and every token a number; an error
+        names the label, the row and the column."""
+        points, width = [], None
+        for number, tokens in rows:
             if width is None:
                 width = len(tokens)
             elif len(tokens) != width:
-                raise ValueError(
-                    f"sample CSV row {i + 1}: expected {width} columns, found {len(tokens)}"
-                )
+                raise ValueError(f"{label} row {number}: expected {width} columns, found {len(tokens)}")
             row = []
             for j, tok in enumerate(tokens):
                 try:
                     row.append(float(tok))
                 except ValueError:
-                    raise ValueError(
-                        f"sample CSV row {i + 1}, column {j + 1}: cannot parse {tok.strip()!r}"
-                    ) from None
-            rows.append(row)
-        if not rows:
-            raise ValueError("sample CSV contains no data rows")
-        return cls(np.asarray(rows))
+                    raise ValueError(f"{label} row {number}, column {j + 1}: cannot parse {tok.strip()!r}") from None
+            points.append(row)
+        if not points:
+            raise ValueError(f"{label} contains no data rows")
+        return cls(np.asarray(points))
 
     @classmethod
     def from_json(cls, path) -> "Sample":

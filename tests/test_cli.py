@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from halfdepth.cli import main
 from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
 from halfdepth.geometry import build_cover
 from halfdepth.population import elliptical_normal, standard_normal
+from test_output_digests import DIGESTS, _config
 
 
 # The subprocess tests import the package from the source tree, whatever
@@ -54,8 +57,7 @@ def test_depth_auto_picks_exact2d(capsys):
 
 def test_depth_population(capsys):
     code, out, _ = run_cli(
-        capsys, "depth", "--method", "population", "--dist", "standard_normal",
-        "--d", "2", "--query", "0,0",
+        capsys, "depth", "--method", "population", "--query", "0,0",
     )
     assert code == 0
     assert json.loads(out) == {"value": 0.5}
@@ -198,6 +200,79 @@ def test_depth_input_errors(capsys, tmp_path):
     # nonexistent path that cannot be inline data
     code, _, err = run_cli(capsys, "depth", "--query", "0,0", "--sample", "nope/missing.csv")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({}, "distribution spec needs family"),
+        ({"family": "standard_normal"}, "distribution spec needs d"),
+        ({"family": "elliptical_normal", "d": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "distribution spec needs mu"),
+        ({"family": "elliptical_normal", "d": 2, "mu": [0.0, 0.0]}, "distribution spec needs sigma"),
+        ([1, 2], "distribution spec must be an object, got [1, 2]"),
+    ],
+    ids=["family", "d", "mu", "sigma", "list"],
+)
+def test_depth_dist_file_errors_name_the_bad_input(capsys, tmp_path, spec, message):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "depth", "--method", "population", "--query", "0,0", "--dist-file", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "drop, data, message",
+    [
+        ("centers", None, "cover dictionary needs centers"),
+        ("psi", None, "cover dictionary needs psi"),
+        (None, 5, "cover dictionary must be an object, got 5"),
+    ],
+    ids=["centers", "psi", "number"],
+)
+def test_depth_cover_file_errors_name_the_bad_input(capsys, tmp_path, drop, data, message):
+    if drop is not None:
+        data = build_cover(2, 0.2).to_dict()
+        del data[drop]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "depth", "--method", "approx", "--query", "0,0", "--sample", "1,0;0,1;-1,0", "--cover", str(path)
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        ("0,0;1,0;1", "inline sample row 3: expected 2 columns, found 1"),
+        ("0,0;1e,1", "inline sample row 2, column 1: cannot parse '1e'"),
+        ("0,0;1,0;2,3,4", "inline sample row 3: expected 2 columns, found 3"),
+        ("1,1e,3", "inline sample row 2, column 1: cannot parse '1e'"),
+    ],
+)
+def test_depth_inline_sample_errors_name_the_row(capsys, sample, message):
+    code, out, err = run_cli(capsys, "depth", "--method", "brute", "--query", "0,0", f"--sample={sample}")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("1,2,3", [[1.0], [2.0], [3.0]]),
+        (" 1, ,3, ", [[1.0], [3.0]]),
+        ("0,0;1,0", [[0.0, 0.0], [1.0, 0.0]]),
+        ("0,0;;1,0;", [[0.0, 0.0], [1.0, 0.0]]),
+        ("1,0,;0,1,", [[1.0, 0.0], [0.0, 1.0]]),
+        ("1, 0 ;\t0,1", [[1.0, 0.0], [0.0, 1.0]]),
+        ("1e3,2E-1;+1,-.5", [[1000.0, 0.2], [1.0, -0.5]]),
+        ("7;", [[7.0]]),
+    ],
+)
+def test_inline_sample_forms_keep_their_points(text, points):
+    assert cli._parse_sample_arg(text).points.tolist() == points
 
 
 @pytest.mark.parametrize(
@@ -395,7 +470,7 @@ def test_bound_sweep_kind_that_cannot_be_evaluated_writes_nothing(capsys, argv, 
 def test_experiment_inline_flags(capsys, tmp_path):
     out_dir = tmp_path / "exp"
     code, out, _ = run_cli(
-        capsys, "experiment", "--dist", "standard_normal", "--d", "1",
+        capsys, "experiment", "--d", "1",
         "--n", "50", "--eps", "0.2", "--trials", "40", "--seed", "3",
         "--kinds", "dkw", "--out-dir", str(out_dir),
     )
@@ -419,6 +494,54 @@ def test_experiment_config_file(capsys, tmp_path):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["config"]["seed"] == 17
+
+
+def _digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in DIGESTS["d2-exact"]}
+
+
+def test_experiment_flags_and_config_reproduce_the_pinned_digests(capsys, tmp_path):
+    # The d2-exact case once from flags alone, and once from a config whose
+    # n, trials and dimension the flags write over.
+    code, _, err = run_cli(
+        capsys, "experiment", "--d", "2", "--n", "150", "--eps", "0.15", "--trials", "15", "--seed", "12",
+        "--psi", "0.05", "--kinds", "dkw,vc2,theorem", "--out-dir", str(tmp_path / "flags"),
+    )
+    assert code == 0, err
+    assert _digests(tmp_path / "flags") == DIGESTS["d2-exact"]
+    data = {**_config("d2-exact").to_dict(), "n": 30, "trials": 5, "dist": standard_normal(1).to_dict()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_path), "--n", "150", "--trials", "15", "--d", "2",
+        "--out-dir", str(tmp_path / "config"),
+    )
+    assert code == 0, err
+    assert _digests(tmp_path / "config") == DIGESTS["d2-exact"]
+
+
+def test_experiment_c2_comes_from_the_flag_else_the_config(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_config("d1").to_dict(), "trials": 3, "c2": 2.0}))
+    for extra, c2 in (((), 2.0), (("--c2", "3"), 3.0)):
+        out_dir = tmp_path / f"c2-{c2}"
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path), *extra, "--out-dir", str(out_dir))
+        assert code == 0, err
+        assert json.loads((out_dir / "summary.json").read_text())["config"]["c2"] == c2
+
+
+@pytest.mark.parametrize("field", ["n", "eps", "trials", "seed", "dist"])
+def test_experiment_config_missing_a_field_names_it(capsys, tmp_path, monkeypatch, field):
+    calls = []
+    monkeypatch.setattr(expmod, "_run_trial", lambda *args: calls.append(args))
+    data = _config("d1").to_dict()
+    del data[field]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err == f"error: experiment config needs {field}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -515,7 +638,7 @@ def test_experiment_rejects_a_config_that_is_not_an_object(capsys, tmp_path):
 
 def test_experiment_requires_seed(capsys, tmp_path):
     code, _, err = run_cli(
-        capsys, "experiment", "--dist", "standard_normal", "--d", "1",
+        capsys, "experiment", "--d", "1",
         "--n", "10", "--eps", "0.2", "--trials", "5",
         "--out-dir", str(tmp_path / "x"),
     )
@@ -540,7 +663,7 @@ def test_experiment_validity_failure_exits_2(capsys, tmp_path, monkeypatch):
     broken = dataclasses.replace(real, validity_ok=False)
     monkeypatch.setattr(cli, "run_deviation_experiment", lambda _cfg: broken)
     code, out, err = run_cli(
-        capsys, "experiment", "--dist", "standard_normal", "--d", "1",
+        capsys, "experiment", "--d", "1",
         "--n", "20", "--eps", "0.3", "--trials", "10", "--seed", "1",
         "--kinds", "dkw", "--out-dir", str(tmp_path / "v"),
     )
@@ -550,7 +673,7 @@ def test_experiment_validity_failure_exits_2(capsys, tmp_path, monkeypatch):
 
 def test_experiment_parallel_flag_matches_serial(capsys, tmp_path):
     args = [
-        "experiment", "--dist", "standard_normal", "--d", "2", "--n", "30",
+        "experiment", "--d", "2", "--n", "30",
         "--eps", "0.3", "--trials", "8", "--seed", "12", "--psi", "0.1",
     ]
     code1, _, _ = run_cli(capsys, *args, "--jobs", "1", "--out-dir", str(tmp_path / "s"))
@@ -655,8 +778,56 @@ def test_unknown_subcommand_is_input_error(capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert main(["depth", "--help"]) == 0
+    commands = [[], ["depth"], ["cover"], ["bound"], ["experiment"], ["oracle"],
+                ["oracle", "subsets"], ["oracle", "verify-cover"], ["oracle", "brute"]]
+    for command in commands:
+        assert main([*command, "--help"]) == 0, command
+        out = capsys.readouterr().out
+        assert out.startswith("usage: halfdepth"), command
+        if command in (["depth"], ["experiment"]):
+            # --dist is gone; only --dist-file remains.
+            assert re.search(r"--dist(?![-\w])", out) is None, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["depth", "--method", "population", "--query", "0,0", "--dist", "standard_normal"],
+        ["depth", "--method", "population", "--query", "0,0", "--d", "2"],
+        ["experiment", "--dist", "standard_normal", "--d", "1", "--n", "10", "--eps", "0.2", "--trials", "2",
+         "--seed", "1"],
+    ],
+    ids=["depth-dist", "depth-d", "experiment-dist"],
+)
+def test_removed_flags_are_unrecognized(capsys, tmp_path, argv):
+    if argv[0] == "experiment":
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def _exclusive_pair_argv(pair, tmp_path):
+    if pair == "cover-psi":
+        cover_path = tmp_path / "cover.json"
+        cover_path.write_text(json.dumps(build_cover(2, 0.2).to_dict()))
+        return ["depth", "--method", "certified", "--query", "0,0", "--sample", "1,0;0,1;-1,0",
+                "--cover", str(cover_path), "--psi", "0.3"]
+    if pair == "dist-file-d":
+        dist_path = tmp_path / "dist.json"
+        dist_path.write_text(json.dumps(standard_normal(1).to_dict()))
+        return ["experiment", "--dist-file", str(dist_path), "--d", "2", "--n", "20", "--eps", "0.3",
+                "--trials", "2", "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    assert pair == "regular-ngon-sample"
+    return ["oracle", "subsets", "--regular-ngon", "4", "--sample", "0,0;1,0;0,1"]
+
+
+@pytest.mark.parametrize("pair", ["cover-psi", "dist-file-d", "regular-ngon-sample"])
+def test_flags_that_would_override_each_other_are_refused(capsys, tmp_path, pair):
+    code, out, err = run_cli(capsys, *_exclusive_pair_argv(pair, tmp_path))
+    assert code == 1 and out == ""
+    assert "not allowed with argument" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_round_trip_cover_json(capsys, tmp_path):
