@@ -35,7 +35,6 @@ from .population import DistributionSpec, population_depth, standard_normal
 from .sample_depth import (
     Sample,
     depth_1d,
-    depth_approx,
     depth_brute,
     depth_certified,
     depth_exact_2d,
@@ -89,31 +88,31 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _make_cover(args, d: int, certified: bool = False) -> SphericalCover:
-    """The cover of --cover FILE or --psi RADIUS. A certified depth trusts
-    the cover's psi, so a loaded cover must first pass the exact check;
-    an approximate depth is an upper bound over any directions."""
-    if args.cover:
-        cover = _load_cover(args.cover)
-        if cover.d != d:
-            raise ValueError(f"cover has dimension {cover.d}, expected {d}")
-        if certified:
-            try:
-                check_exact_cover(cover)
-            except ValueError as exc:
-                raise ValueError(
-                    f"cover {args.cover} cannot certify a depth: {exc}; pass --psi RADIUS to build a proven cover"
-                ) from None
-        return cover
-    if args.psi is None:
-        raise ValueError("this method needs a direction cover; pass --cover FILE or --psi RADIUS")
-    return build_cover(d, args.psi)
+def _make_cover(args, d: int) -> SphericalCover:
+    """The cover of --psi RADIUS, or of --cover FILE. A certified depth
+    trusts the cover's psi, so a loaded cover must first pass the exact
+    check."""
+    if args.psi is not None:
+        return build_cover(d, args.psi)
+    cover = _load_cover(args.cover)
+    if cover.d != d:
+        raise ValueError(f"cover has dimension {cover.d}, expected {d}")
+    try:
+        check_exact_cover(cover)
+    except ValueError as exc:
+        raise ValueError(
+            f"cover {args.cover} cannot certify a depth: {exc}; pass --psi RADIUS to build a proven cover"
+        ) from None
+    return cover
 
 
 def cmd_depth(args) -> int:
-    method = args.method
-    if method == "population":
-        query = _parse_query(args.query)
+    sample = _parse_sample_arg(args.sample) if args.sample else None
+    query = _parse_query(args.query)
+    certified = args.psi is not None or args.cover is not None
+    if sample is None:
+        if certified:
+            raise ValueError("--psi and --cover need --sample; without it depth is the population depth")
         if args.dist_file:
             dist = DistributionSpec.from_dict(json.loads(Path(args.dist_file).read_text()))
         else:
@@ -122,26 +121,19 @@ def cmd_depth(args) -> int:
             raise ValueError(f"query has dimension {query.shape[0]}, distribution has {dist.d}")
         _emit({"value": population_depth(dist, query)}, args.out)
         return 0
-    if not args.sample:
-        raise ValueError("this method needs --sample (a CSV/JSON file or an inline list)")
-    sample = _parse_sample_arg(args.sample)
-    query = _parse_query(args.query)
     if query.shape[0] != sample.dim:
         raise ValueError(f"query has dimension {query.shape[0]}, sample has {sample.dim}")
-    if method == "auto":
-        method = {1: "1d", 2: "exact2d"}.get(sample.dim, "certified")
-    if method == "1d":
+    if certified:
+        result = depth_certified(query, sample, _make_cover(args, sample.dim))
+    elif sample.dim == 1:
         result = depth_1d(query[0], sample)
-    elif method == "exact2d":
+    elif sample.dim == 2:
         result = depth_exact_2d(query, sample)
-    elif method == "brute":
-        result = depth_brute(query, sample)
-    elif method == "approx":
-        result = depth_approx(query, sample, _make_cover(args, sample.dim))
-    elif method == "certified":
-        result = depth_certified(query, sample, _make_cover(args, sample.dim, certified=True))
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(
+            f"exact sample depth needs d <= 2, got d={sample.dim}; pass --psi RADIUS or --cover FILE "
+            "for a certified interval"
+        )
     _emit(result.to_dict(), args.out)
     return 0
 
@@ -151,33 +143,35 @@ def cmd_cover(args) -> int:
     return 0
 
 
-def _parse_sweep(spec: str):
-    name, eq, body = spec.partition("=")
-    parts = body.split("..")
-    if not eq or name not in ("n", "eps") or len(parts) not in (2, 3):
-        raise ValueError(f"sweep spec {spec!r} must look like n=a..b[..step] or eps=a..b[..step]")
-    if name == "n":
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else max(1, (stop - start) // 10)
-        if step < 1 or stop < start:
-            raise ValueError(f"bad sweep range in {spec!r}")
-        return name, list(range(start, stop + 1, step))
-    start, stop = float(parts[0]), float(parts[1])
-    step = float(parts[2]) if len(parts) == 3 else (stop - start) / 10.0
+def _parse_values(text: str, convert, name: str) -> list:
+    """One value, or the range a..b[..step] from a to b inclusive; the
+    default step is a tenth of the range (for n, at least 1)."""
+    try:
+        values = [convert(part) for part in text.split("..")]
+    except ValueError:
+        values = []
+    if len(values) == 1:
+        return values
+    if len(values) not in (2, 3):
+        raise ValueError(f"--{name} {text!r} must be a number or a range a..b[..step]")
+    start, stop = values[:2]
+    if len(values) == 3:
+        step = values[2]
+    else:
+        step = max(1, (stop - start) // 10) if convert is int else (stop - start) / 10.0
     if step <= 0 or stop < start:
-        raise ValueError(f"bad sweep range in {spec!r}")
-    values = np.arange(start, stop + step / 2.0, step)
-    return name, [float(v) for v in values]
+        raise ValueError(f"bad range --{name} {text!r}")
+    if convert is int:
+        return list(range(start, stop + 1, step))
+    return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
 
 
 def cmd_bound(args) -> int:
     constants = dict(
         lam=args.lam, c1=args.c1, lpi=args.lpi, ltheta=args.ltheta, c2=args.c2,
     )
-    if args.sweep:
-        name, values = _parse_sweep(args.sweep)
-        n_values = values if name == "n" else [args.n]
-        eps_values = values if name == "eps" else [args.eps]
+    n_values, eps_values = _parse_values(args.n, int, "n"), _parse_values(args.eps, float, "eps")
+    if ".." in args.n or ".." in args.eps:
         rows = run_bound_sweep(
             [args.kind], n_values, eps_values, args.d,
             delta=args.delta, r=args.r, sharp2d=args.sharp_2d, exact_m=args.exact_m,
@@ -185,13 +179,12 @@ def cmd_bound(args) -> int:
         )
         _emit(sweep_rows_to_csv(rows), args.out)
         return 0
-    params = BoundParams(
-        n=args.n, eps=args.eps, d=args.d, r=args.r, delta=args.delta, **constants
-    )
+    (n,), (eps,) = n_values, eps_values
+    params = BoundParams(n=n, eps=eps, d=args.d, r=args.r, delta=args.delta, **constants)
     report = evaluate_bound(args.kind, params, sharp2d=args.sharp_2d, exact_m=args.exact_m)
     payload = report.to_dict()
     payload["params"] = {
-        "n": args.n, "eps": args.eps, "d": args.d, "lambda": args.lam, "C1": args.c1,
+        "n": n, "eps": eps, "d": args.d, "lambda": args.lam, "C1": args.c1,
         "C2": args.c2, "Lpi": args.lpi, "Ltheta": args.ltheta, "R": args.r,
         "delta": args.delta, "sharp2d": args.sharp_2d, "exact_m": args.exact_m,
     }
@@ -246,8 +239,6 @@ def cmd_oracle(args) -> int:
                 args.out,
             )
         else:
-            if not args.sample:
-                raise ValueError("pass --regular-ngon R or --sample FILE")
             sample = _parse_sample_arg(args.sample)
             count = halfplane_subset_count(sample.points)
             _emit({"count": count, "n": sample.n}, args.out)
@@ -283,16 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_depth = sub.add_parser("depth", help="evaluate sample or population depth at a query point")
-    p_depth.add_argument("--method", default="auto",
-                         choices=["auto", "1d", "exact2d", "brute", "approx", "certified", "population"])
+    p_depth = sub.add_parser(
+        "depth", help="evaluate sample or population depth at a query point",
+        description="Without --sample, the population depth; with --sample and --psi or --cover, "
+        "the certified interval; with --sample alone, the exact depth (d <= 2).",
+    )
     p_depth.add_argument("--query", required=True, help="comma-separated coordinates")
-    p_depth.add_argument("--sample", help="CSV/JSON file, or inline values like '1,2,3' / '0,0;1,0'")
+    depth_law = p_depth.add_mutually_exclusive_group()
+    depth_law.add_argument("--sample", help="CSV/JSON file, or inline values like '1,2,3' / '0,0;1,0'")
+    depth_law.add_argument("--dist-file",
+                           help="population spec JSON file (default: the standard normal in the query's dimension)")
     depth_cover = p_depth.add_mutually_exclusive_group()
-    depth_cover.add_argument("--cover", help="cover JSON file for approx/certified")
+    depth_cover.add_argument("--cover", help="cover JSON file for a certified depth")
     depth_cover.add_argument("--psi", type=float, help="build a cover of this radius instead")
-    p_depth.add_argument("--dist-file",
-                         help="population spec JSON file (default: the standard normal in the query's dimension)")
     p_depth.add_argument("--out", help="write JSON here instead of stdout")
     p_depth.set_defaults(func=cmd_depth)
 
@@ -302,10 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--out")
     p_cover.set_defaults(func=cmd_cover)
 
-    p_bound = sub.add_parser("bound", help="evaluate one deviation bound or sweep a grid")
+    p_bound = sub.add_parser(
+        "bound", help="evaluate one deviation bound or sweep a grid",
+        description="A range a..b[..step] in --n or --eps sweeps the (n, eps) grid and emits CSV.",
+    )
     p_bound.add_argument("--kind", required=True, choices=list(BOUND_KINDS))
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--eps", type=float, required=True)
+    p_bound.add_argument("--n", required=True, help="sample size, or a range a..b[..step]")
+    p_bound.add_argument("--eps", required=True, help="deviation, or a range a..b[..step]")
     p_bound.add_argument("--d", type=int, default=2)
     p_bound.add_argument("--lambda", dest="lam", type=float, default=BoundParams.lam)
     p_bound.add_argument("--c1", type=float, default=BoundParams.c1)
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="planar specialization: exact circle cover and Gaussian tail")
     p_bound.add_argument("--exact-m", action="store_true",
                          help="use the exact planar subset count in the VC bounds")
-    p_bound.add_argument("--sweep", help="n=a..b[..step] or eps=a..b[..step]; emits CSV")
     p_bound.add_argument("--out")
     p_bound.set_defaults(func=cmd_bound)
 
@@ -348,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
 
     p_subsets = oracle_sub.add_parser("subsets", help="enumerate halfplane-cut subsets")
-    subsets_input = p_subsets.add_mutually_exclusive_group()
+    subsets_input = p_subsets.add_mutually_exclusive_group(required=True)
     subsets_input.add_argument("--regular-ngon", type=int)
     subsets_input.add_argument("--sample")
     p_subsets.add_argument("--out")

@@ -129,7 +129,7 @@ class DistributionSpec:
         raise ValueError(f"unknown family {family!r}")
 
 
-def standard_normal(d: int, c1: float = 1.0) -> DistributionSpec:
+def standard_normal(d: int) -> DistributionSpec:
     """Standard normal in dimension d: lam=1, Lpi=1/sqrt(2 pi), Ltheta=0."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -140,7 +140,7 @@ def standard_normal(d: int, c1: float = 1.0) -> DistributionSpec:
         mu=(0.0,) * d,
         sigma=eye,
         lam=1.0,
-        c1=c1,
+        c1=1.0,
         lpi=1.0 / SQRT_2PI,
         ltheta=0.0,
     )

@@ -150,9 +150,9 @@ class Sample:
 
     @classmethod
     def from_rows(cls, rows, label: str) -> "Sample":
-        """Build a sample from (row number, coordinate tokens) pairs. Every
-        row must be as wide as the first, and every token a number; an error
-        names the label, the row and the column."""
+        """Build a sample from (row number, coordinates) pairs, a coordinate
+        being a number or a numeric string. Every row must be as wide as the
+        first; an error names the label, the row and the column."""
         points, width = [], None
         for number, tokens in rows:
             if width is None:
@@ -162,9 +162,12 @@ class Sample:
             row = []
             for j, tok in enumerate(tokens):
                 try:
+                    if isinstance(tok, bool) or not isinstance(tok, (str, int, float)):
+                        raise ValueError
                     row.append(float(tok))
-                except ValueError:
-                    raise ValueError(f"{label} row {number}, column {j + 1}: cannot parse {tok.strip()!r}") from None
+                except (ValueError, OverflowError):
+                    shown = repr(tok.strip()) if isinstance(tok, str) else json.dumps(tok)
+                    raise ValueError(f"{label} row {number}, column {j + 1}: cannot parse {shown}") from None
             points.append(row)
         if not points:
             raise ValueError(f"{label} contains no data rows")
@@ -172,20 +175,16 @@ class Sample:
 
     @classmethod
     def from_json(cls, path) -> "Sample":
-        """Load from a JSON object with a "points" list of coordinate lists."""
+        """Load from a JSON object with a "points" list of points, each a
+        list of coordinates or one number (a one-coordinate point)."""
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict) or "points" not in data:
             raise ValueError('sample JSON must be an object with a "points" key')
         pts = data["points"]
         if not isinstance(pts, list) or not pts:
             raise ValueError('sample JSON "points" must be a nonempty list')
-        first = pts[0]
-        width = len(first) if isinstance(first, list) else 1
-        for i, row in enumerate(pts):
-            got = len(row) if isinstance(row, list) else 1
-            if got != width:
-                raise ValueError(f"sample JSON point {i}: expected {width} coordinates, found {got}")
-        return cls(np.asarray(pts, dtype=float))
+        rows = ((i + 1, row if isinstance(row, list) else [row]) for i, row in enumerate(pts))
+        return cls.from_rows(rows, "sample JSON")
 
 
 def _query_radii(queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -465,18 +464,6 @@ def depth_certified_many(
         )
     _check_finite(queries)
     return _certified_counts(queries, sample, cover)
-
-
-def depth_approx(q, sample: Sample, cover: SphericalCover) -> DepthValue:
-    """Depth minimized over the cover's directions only.
-
-    Always an upper bound for the exact depth (the minimum over all
-    directions), whatever the directions; exact whenever the cover happens
-    to contain a minimizing direction. It is the upper end of
-    depth_certified: a one-row depth_certified_many.
-    """
-    _, upper, _ = depth_certified_many(np.asarray(q, dtype=float).reshape(1, -1), sample, cover)
-    return DepthValue(count=upper.item(), n=sample.n)
 
 
 def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:

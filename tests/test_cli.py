@@ -42,7 +42,7 @@ def run_cli(capsys, *argv):
 
 
 def test_depth_1d_inline(capsys):
-    code, out, _ = run_cli(capsys, "depth", "--method", "1d", "--query", "2", "--sample", "1,2,3")
+    code, out, _ = run_cli(capsys, "depth", "--query", "2", "--sample", "1,2,3")
     assert code == 0
     assert json.loads(out) == {"count": 2, "n": 3, "value": pytest.approx(2.0 / 3.0)}
 
@@ -57,14 +57,14 @@ def test_depth_auto_picks_exact2d(capsys):
 
 def test_depth_population(capsys):
     code, out, _ = run_cli(
-        capsys, "depth", "--method", "population", "--query", "0,0",
+        capsys, "depth", "--query", "0,0",
     )
     assert code == 0
     assert json.loads(out) == {"value": 0.5}
 
 
 def test_depth_population_infers_dimension(capsys):
-    code, out, _ = run_cli(capsys, "depth", "--method", "population", "--query", "1,0,0")
+    code, out, _ = run_cli(capsys, "depth", "--query", "1,0,0")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.15865525393145707)
 
@@ -74,18 +74,47 @@ def test_depth_population_dist_file(capsys, tmp_path):
     path = tmp_path / "dist.json"
     path.write_text(json.dumps(dist.to_dict()))
     code, out, _ = run_cli(
-        capsys, "depth", "--method", "population", "--dist-file", str(path),
+        capsys, "depth", "--dist-file", str(path),
         "--query", "1,0",
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.5)
 
 
+def test_depth_without_a_sample_is_the_population_depth(capsys):
+    code, out, err = run_cli(capsys, "depth", "--query", "0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"value": 0.5}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("psi-without-sample", "error: --psi and --cover need --sample; without it depth is the population depth"),
+        ("sample-and-dist-file", "error: argument --dist-file: not allowed with argument --sample"),
+        ("d3-without-cover", "error: exact sample depth needs d <= 2, got d=3; "
+         "pass --psi RADIUS or --cover FILE for a certified interval"),
+    ],
+    ids=["psi-without-sample", "sample-and-dist-file", "d3-without-cover"],
+)
+def test_depth_inputs_that_pick_no_depth_are_refused(capsys, tmp_path, case, message):
+    dist_path = tmp_path / "d.json"
+    dist_path.write_text(json.dumps(standard_normal(2).to_dict()))
+    argv = {
+        "psi-without-sample": ["--query", "0,0", "--psi", "0.3"],
+        "sample-and-dist-file": ["--query", "0,0", "--sample", "1,0;0,1;-1,0", "--dist-file", str(dist_path)],
+        "d3-without-cover": ["--query", "0,0,0", "--sample", "1,0,0;0,1,0;0,0,1;-1,-1,-1"],
+    }[case]
+    code, out, err = run_cli(capsys, "depth", *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].endswith(message)
+
+
 def test_depth_certified_with_psi(capsys):
     rng = np.random.default_rng(0)
     pts = ";".join(f"{x:.6f},{y:.6f},{z:.6f}" for x, y, z in rng.normal(size=(15, 3)))
     code, out, _ = run_cli(
-        capsys, "depth", "--method", "certified", "--query", "0,0,0",
+        capsys, "depth", "--query", "0,0,0",
         "--sample", pts, "--psi", "0.3",
     )
     assert code == 0
@@ -99,7 +128,7 @@ def test_depth_with_cover_file(capsys, tmp_path):
     cover_path = tmp_path / "cover.json"
     cover_path.write_text(json.dumps(cover.to_dict()))
     code, out, _ = run_cli(
-        capsys, "depth", "--method", "certified", "--query", "0,0",
+        capsys, "depth", "--query", "0,0",
         "--sample", "1,0;0,1;-1,0;0,-1", "--cover", str(cover_path),
     )
     assert code == 0
@@ -122,22 +151,14 @@ def _holed_cover_case(tmp_path):
 def test_depth_certified_refuses_a_cover_file_that_does_not_cover(capsys, tmp_path):
     # Trusting the file's psi gave the interval [0.1, 0.4] around an exact depth of 0.
     args, cover_path = _holed_cover_case(tmp_path)
-    code, out, _ = run_cli(capsys, "depth", "--method", "brute", *args)
+    code, out, _ = run_cli(capsys, "oracle", "brute", *args)
     assert json.loads(out)["count"] == 0
-    code, out, err = run_cli(capsys, "depth", "--method", "certified", "--cover", cover_path, *args)
+    code, out, err = run_cli(capsys, "depth", "--cover", cover_path, *args)
     assert code == 1
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert "exact covering radius" in errors[0] and "--psi" in errors[0]
-
-
-def test_depth_approx_accepts_any_cover_file(capsys, tmp_path):
-    # The approximate depth is an upper bound over any set of directions.
-    args, cover_path = _holed_cover_case(tmp_path)
-    code, out, _ = run_cli(capsys, "depth", "--method", "approx", "--cover", cover_path, *args)
-    assert code == 0
-    assert json.loads(out)["count"] == 4
 
 
 @pytest.mark.parametrize("d, psi", [(2, 0.1), (3, 0.3), (4, 0.5)])
@@ -147,7 +168,7 @@ def test_cover_output_reloads_and_certifies(capsys, tmp_path, d, psi):
     assert code == 0
     pts = ";".join(",".join(f"{c:.6f}" for c in row) for row in np.random.default_rng(d).normal(size=(12, d)))
     code, out, err = run_cli(
-        capsys, "depth", "--method", "certified", "--query", ",".join(["0"] * d),
+        capsys, "depth", "--query", ",".join(["0"] * d),
         f"--sample={pts}", "--cover", str(cover_path),
     )
     assert code == 0, err
@@ -160,7 +181,7 @@ def test_depth_certified_refuses_a_cover_file_above_d4(capsys, tmp_path):
     cover_path.write_text(json.dumps(build_cover(5, 0.9).to_dict()))
     pts = ";".join(",".join(f"{c:.6f}" for c in row) for row in np.random.default_rng(5).normal(size=(8, 5)))
     code, out, err = run_cli(
-        capsys, "depth", "--method", "certified", "--query", "0,0,0,0,0",
+        capsys, "depth", "--query", "0,0,0,0,0",
         f"--sample={pts}", "--cover", str(cover_path),
     )
     assert code == 1
@@ -186,8 +207,8 @@ def test_depth_input_errors(capsys, tmp_path):
     # dimension mismatch
     code, _, err = run_cli(capsys, "depth", "--query", "0,0,0", "--sample", "1,0;0,1")
     assert code == 1 and "dimension" in err
-    # missing sample
-    code, _, err = run_cli(capsys, "depth", "--query", "0,0")
+    # a cover without a sample
+    code, _, err = run_cli(capsys, "depth", "--query", "0,0", "--psi", "0.3")
     assert code == 1
     # unparseable file contents name the location
     bad = tmp_path / "bad.csv"
@@ -216,7 +237,7 @@ def test_depth_input_errors(capsys, tmp_path):
 def test_depth_dist_file_errors_name_the_bad_input(capsys, tmp_path, spec, message):
     path = tmp_path / "dist.json"
     path.write_text(json.dumps(spec))
-    code, out, err = run_cli(capsys, "depth", "--method", "population", "--query", "0,0", "--dist-file", str(path))
+    code, out, err = run_cli(capsys, "depth", "--query", "0,0", "--dist-file", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 
@@ -237,7 +258,7 @@ def test_depth_cover_file_errors_name_the_bad_input(capsys, tmp_path, drop, data
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(
-        capsys, "depth", "--method", "approx", "--query", "0,0", "--sample", "1,0;0,1;-1,0", "--cover", str(path)
+        capsys, "depth", "--query", "0,0", "--sample", "1,0;0,1;-1,0", "--cover", str(path)
     )
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
@@ -253,7 +274,7 @@ def test_depth_cover_file_errors_name_the_bad_input(capsys, tmp_path, drop, data
     ],
 )
 def test_depth_inline_sample_errors_name_the_row(capsys, sample, message):
-    code, out, err = run_cli(capsys, "depth", "--method", "brute", "--query", "0,0", f"--sample={sample}")
+    code, out, err = run_cli(capsys, "oracle", "brute", "--query", "0,0", f"--sample={sample}")
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 
@@ -276,21 +297,64 @@ def test_inline_sample_forms_keep_their_points(text, points):
 
 
 @pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[1, "x"], [2, 3]], "sample JSON row 1, column 2: cannot parse 'x'"),
+        ([[1, 2], [None, 3]], "sample JSON row 2, column 1: cannot parse null"),
+        ([[1, True], [2, 3]], "sample JSON row 1, column 2: cannot parse true"),
+        ([[1, 2], [3]], "sample JSON row 2: expected 2 columns, found 1"),
+    ],
+    ids=["string", "null", "bool", "ragged"],
+)
+def test_json_sample_errors_name_the_row_and_column(capsys, tmp_path, points, message):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"points": points}))
+    code, out, err = run_cli(capsys, "oracle", "brute", "--query", "0,0", "--sample", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [1, 2.5, -3],
+        [[1, 0], [0.5, -2e-3], [2**53 + 1, 7]],
+        [[1e300, 1], [-1e-300, 2]],
+        [[4], [5]],
+    ],
+    ids=["scalars", "mixed", "extremes", "one-column"],
+)
+def test_json_sample_keeps_numeric_points(tmp_path, points):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"points": points}))
+    expected = np.asarray(points, dtype=float).reshape(len(points), -1)
+    assert cli._parse_sample_arg(str(path)).points.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
     "method, sample, query",
     [
         ("auto", "1,0;0,1;-1,0", "nan,0"),
         ("exact2d", "1,0;0,1;-1,0", "inf,0"),
         ("brute", "1,0;0,1;-1,0", "0,-inf"),
         ("certified", "1,0;0,1;-1,0", "nan,0"),
-        ("approx", "1,0;0,1;-1,0", "0,nan"),
+        ("cover", "1,0;0,1;-1,0", "0,nan"),
         ("1d", "1,2,3", "nan"),
         ("population", None, "nan,0"),
     ],
 )
-def test_depth_rejects_non_finite_query(capsys, method, sample, query):
-    argv = ["depth", "--method", method, "--query", query]
+def test_depth_rejects_non_finite_query(capsys, tmp_path, method, sample, query):
+    # method names the depth its inputs pick; brute is the oracle's.
+    argv = ["oracle", "brute"] if method == "brute" else ["depth"]
+    argv += ["--query", query]
     if sample is not None:
-        argv += ["--sample", sample, "--psi", "0.3"] if method in ("certified", "approx") else ["--sample", sample]
+        argv += ["--sample", sample]
+    if method == "certified":
+        argv += ["--psi", "0.3"]
+    if method == "cover":
+        cover_path = tmp_path / "cover.json"
+        cover_path.write_text(json.dumps(build_cover(2, 0.3).to_dict()))
+        argv += ["--cover", str(cover_path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and "non-finite" in err
@@ -299,7 +363,7 @@ def test_depth_rejects_non_finite_query(capsys, method, sample, query):
 def test_depth_out_file(capsys, tmp_path):
     target = tmp_path / "depth.json"
     code, out, _ = run_cli(
-        capsys, "depth", "--method", "1d", "--query", "2", "--sample", "1,2,3",
+        capsys, "depth", "--query", "2", "--sample", "1,2,3",
         "--out", str(target),
     )
     assert code == 0
@@ -325,8 +389,7 @@ def test_cover_and_depth_output_is_reproducible_without_seed(capsys):
     pts4 = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;-1,-1,-1,-1;0.5,0.2,-0.3,0.1"
     runs = [("cover", "--d", d, "--psi", "0.4") for d in ("3", "4", "5")]
     for pts, query in ((pts3, "0,0,0"), (pts4, "0,0,0,0")):
-        for method in ("certified", "approx"):
-            runs.append(("depth", "--method", method, "--query", query, "--sample", pts, "--psi", "0.3"))
+        runs.append(("depth", "--query", query, "--sample", pts, "--psi", "0.3"))
     for argv in runs:
         first = run_cli(capsys, *argv)
         assert first[0] == 0 and first[1]
@@ -396,8 +459,8 @@ def test_bound_sharp2d_flag(capsys):
 
 def test_bound_sweep_csv(capsys):
     code, out, _ = run_cli(
-        capsys, "bound", "--kind", "dkw", "--n", "100", "--eps", "0.1",
-        "--d", "1", "--sweep", "n=100..500..100",
+        capsys, "bound", "--kind", "dkw", "--n", "100..500..100", "--eps", "0.1",
+        "--d", "1",
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -407,25 +470,50 @@ def test_bound_sweep_csv(capsys):
 
 def test_bound_sweep_eps(capsys):
     code, out, _ = run_cli(
-        capsys, "bound", "--kind", "vc2", "--n", "300", "--eps", "0.1",
-        "--d", "2", "--exact-m", "--sweep", "eps=0.05..0.25..0.05",
+        capsys, "bound", "--kind", "vc2", "--n", "300", "--eps", "0.05..0.25..0.05",
+        "--d", "2", "--exact-m",
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 6
 
 
+# sha256 of the README's sweeps, taken with the parent's --sweep n=400..900..10
+# and --sweep eps=0.05..0.25 forms.
+_README_SWEEP_DIGESTS = {
+    ("400..900..10", "0.15"): "d13ed3e94bb42311f513f1b1eeb73892099ec2dd353251edb2a87906157358eb",
+    ("300", "0.05..0.25"): "bd52f1ec1ce2e9083f7a80cc5767326077384a0e67ae2fc8045bbdf7a03589dd",
+}
+
+
+@pytest.mark.parametrize("n, eps", list(_README_SWEEP_DIGESTS), ids=["n-range", "eps-range"])
+def test_bound_range_reproduces_the_readme_sweep(capsys, n, eps):
+    code, out, err = run_cli(capsys, "bound", "--kind", "vc2", "--n", n, "--eps", eps, "--d", "2", "--exact-m")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == _README_SWEEP_DIGESTS[n, eps]
+
+
+def test_bound_ranges_in_n_and_eps_sweep_the_n_major_grid(capsys):
+    code, out, err = run_cli(capsys, "bound", "--kind", "dkw", "--n", "100..300..100", "--eps", "0.1..0.3..0.1",
+                             "--d", "1")
+    assert code == 0, err
+    eps_values = [float(v) for v in np.arange(0.1, 0.35, 0.1)]
+    assert out == expmod.sweep_rows_to_csv(expmod.run_bound_sweep(["dkw"], [100, 200, 300], eps_values, 1))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(int(row["n"]), float(row["eps"])) for row in rows] == [
+        (n, eps) for n in (100, 200, 300) for eps in eps_values
+    ]
+
+
 def test_bound_sweep_bad_spec(capsys):
     code, _, err = run_cli(
-        capsys, "bound", "--kind", "dkw", "--n", "10", "--eps", "0.1",
-        "--sweep", "m=1..2",
+        capsys, "bound", "--kind", "dkw", "--n", "m=1..2", "--eps", "0.1",
     )
     assert code == 1
 
 
 def test_bound_sweep_bad_grid_value_writes_nothing(capsys):
     code, out, err = run_cli(
-        capsys, "bound", "--kind", "dkw", "--n", "300", "--eps", "0.1",
-        "--sweep", "eps=0..0.5",
+        capsys, "bound", "--kind", "dkw", "--n", "300", "--eps", "0..0.5",
     )
     assert code == 1
     assert out == ""
@@ -438,8 +526,7 @@ def test_bound_sweep_clamps_an_improvement_factor_past_the_float_range(capsys):
     # 1e9^53.5 overflows a float; the factor is clamped at e^700 like every
     # other bound quantity, so the sweep writes its rows.
     code, out, err = run_cli(
-        capsys, "bound", "--kind", "vc2", "--n", "1000000000", "--eps", "0.1", "--d", "100",
-        "--sweep", "n=999999990..1000000000..5",
+        capsys, "bound", "--kind", "vc2", "--n", "999999990..1000000000..5", "--eps", "0.1", "--d", "100",
     )
     assert code == 0, err
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -458,7 +545,7 @@ def test_bound_sweep_clamps_an_improvement_factor_past_the_float_range(capsys):
     ids=["covering-d1", "exact-m-off-plane", "sharp2d-off-plane", "missing-r"],
 )
 def test_bound_sweep_kind_that_cannot_be_evaluated_writes_nothing(capsys, argv, message):
-    code, out, err = run_cli(capsys, "bound", "--n", "300", "--eps", "0.1", "--sweep", "n=100..200", *argv)
+    code, out, err = run_cli(capsys, "bound", "--n", "100..200", "--eps", "0.1", *argv)
     assert code == 1
     assert out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
@@ -701,13 +788,18 @@ def test_oracle_subsets_sample_file(capsys, tmp_path):
     assert json.loads(out)["count"] == 8
 
 
+def test_oracle_subsets_needs_a_point_set(capsys):
+    code, out, err = run_cli(capsys, "oracle", "subsets")
+    assert code == 1 and out == ""
+    assert "one of the arguments --regular-ngon --sample is required" in err
+
+
 def test_oracle_brute_matches_exact(capsys):
     sample = "1,0;0,1;-1,0;0,-1;0.2,0.3"
     code, out, _ = run_cli(capsys, "oracle", "brute", "--sample", sample, "--query", "0,0")
     assert code == 0
     brute = json.loads(out)
-    code, out, _ = run_cli(capsys, "depth", "--method", "exact2d", "--query", "0,0",
-                           "--sample", sample)
+    code, out, _ = run_cli(capsys, "depth", "--query", "0,0", "--sample", sample)
     assert json.loads(out)["count"] == brute["count"]
 
 
@@ -787,17 +879,23 @@ def test_help_exits_zero(capsys):
         if command in (["depth"], ["experiment"]):
             # --dist is gone; only --dist-file remains.
             assert re.search(r"--dist(?![-\w])", out) is None, command
+        if command == ["depth"]:
+            assert "--method" not in out
+        if command == ["bound"]:
+            assert "--sweep" not in out
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["depth", "--method", "population", "--query", "0,0", "--dist", "standard_normal"],
-        ["depth", "--method", "population", "--query", "0,0", "--d", "2"],
+        ["depth", "--query", "0,0", "--dist", "standard_normal"],
+        ["depth", "--query", "0,0", "--d", "2"],
         ["experiment", "--dist", "standard_normal", "--d", "1", "--n", "10", "--eps", "0.2", "--trials", "2",
          "--seed", "1"],
+        ["depth", "--method", "certified", "--query", "0,0", "--sample", "1,0;0,1;-1,0", "--psi", "0.3"],
+        ["bound", "--kind", "dkw", "--n", "10", "--eps", "0.1", "--d", "1", "--sweep", "n=1..2"],
     ],
-    ids=["depth-dist", "depth-d", "experiment-dist"],
+    ids=["depth-dist", "depth-d", "experiment-dist", "depth-method", "bound-sweep"],
 )
 def test_removed_flags_are_unrecognized(capsys, tmp_path, argv):
     if argv[0] == "experiment":
@@ -811,7 +909,7 @@ def _exclusive_pair_argv(pair, tmp_path):
     if pair == "cover-psi":
         cover_path = tmp_path / "cover.json"
         cover_path.write_text(json.dumps(build_cover(2, 0.2).to_dict()))
-        return ["depth", "--method", "certified", "--query", "0,0", "--sample", "1,0;0,1;-1,0",
+        return ["depth", "--query", "0,0", "--sample", "1,0;0,1;-1,0",
                 "--cover", str(cover_path), "--psi", "0.3"]
     if pair == "dist-file-d":
         dist_path = tmp_path / "dist.json"
@@ -845,8 +943,7 @@ def test_cli_round_trip_cover_json(capsys, tmp_path):
 
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
-        [sys.executable, "-m", "halfdepth", "depth", "--method", "1d",
-         "--query", "2", "--sample", "1,2,3"],
+        [sys.executable, "-m", "halfdepth", "depth", "--query", "2", "--sample", "1,2,3"],
         capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Unit tests for normal-family population depth and its constants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ def test_tail_probability_bound_formula():
     r = 2.5
     expected = r ** 4 * math.exp(-(r ** 2) / 2.0)
     assert tail_probability_bound(dist, r) == pytest.approx(expected, rel=1e-12)
-    scaled = standard_normal(3, c1=3.0)
+    scaled = replace(standard_normal(3), c1=3.0)
     assert tail_probability_bound(scaled, r) == pytest.approx(3.0 * expected, rel=1e-12)
     with pytest.raises(ValueError):
         tail_probability_bound(dist, 1.0)

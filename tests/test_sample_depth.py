@@ -25,7 +25,6 @@ from halfdepth.sample_depth import (
     Sample,
     _certified_counts,
     depth_1d,
-    depth_approx,
     depth_brute,
     depth_certified,
     depth_certified_many,
@@ -151,7 +150,6 @@ def test_depth_methods_reject_non_finite_queries(bad):
         lambda: depth_brute([0.0, bad], plane),
         lambda: depth_certified_many([[bad, 0.0]], plane, cover),
         lambda: depth_certified([0.0, bad], plane, cover),
-        lambda: depth_approx([bad, bad], plane, cover),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="non-finite"):
@@ -315,7 +313,7 @@ def test_depth_brute_zero_iff_outside_hull_3d():
     assert zero_seen > 5 and pos_seen > 5
 
 
-# --------------------------------------------------- approx / certified depth
+# ---------------------------------------------------------- certified depth
 
 
 def test_depth_certified_contains_exact_2d():
@@ -344,17 +342,7 @@ def test_depth_certified_width_shrinks_with_psi():
     assert widths[0] >= widths[1] >= widths[2]
 
 
-def test_depth_approx_equals_certified_upper():
-    rng = np.random.default_rng(15)
-    pts = rng.normal(size=(30, 2))
-    s = Sample(pts)
-    cover = build_cover(2, 0.1)
-    for _ in range(10):
-        q = rng.normal(size=2)
-        assert depth_approx(q, s, cover).value == depth_certified(q, s, cover).upper
-
-
-def test_depth_approx_upper_bounds_exact():
+def test_certified_upper_bounds_exact():
     # restricting the direction search can only raise the minimum
     rng = np.random.default_rng(16)
     cover = build_cover(2, 0.2)
@@ -362,7 +350,7 @@ def test_depth_approx_upper_bounds_exact():
         pts = rng.normal(size=(25, 2))
         s = Sample(pts)
         q = rng.normal(size=2) * 0.5
-        assert depth_approx(q, s, cover).count >= depth_exact_2d(q, s).count
+        assert depth_certified(q, s, cover).upper >= depth_exact_2d(q, s).value
 
 
 def test_depth_certified_3d_contains_brute():
@@ -404,7 +392,6 @@ def test_depth_certified_4d_contains_brute(grid):
         for q, lo, up in zip(qs, lower, upper):
             brute = depth_brute(q, s)
             assert lo <= brute.count <= up
-            assert depth_approx(q, s, cover).count >= brute.count
             iv = depth_certified(q, s, cover)
             assert iv.lower <= brute.value <= iv.upper
 
@@ -440,7 +427,6 @@ def test_certified_contains_brute_and_approx_bounds_it(d, n, grid, seed):
         brute = depth_brute(q, s)
         iv = depth_certified(q, s, cover)
         assert iv.lower <= brute.value <= iv.upper
-        assert depth_approx(q, s, cover).count >= brute.count
 
 
 def _random_rotation(rng, d):
@@ -512,7 +498,6 @@ def test_batched_depth_equals_single_query(d, grid):
         for j, q in enumerate(qs):
             iv = depth_certified(q, s, cover)
             assert (iv.lower, iv.upper, iv.radius) == (lower[j] / s.n, upper[j] / s.n, radius[j])
-            assert depth_approx(q, s, cover).count == upper[j]
 
 
 @lru_cache(maxsize=None)
@@ -637,7 +622,7 @@ def test_depth_counts_invariant_under_exact_scale_and_shift(d):
                 out.append(depth_exact_2d(q, s).count)
             out.append(depth_brute(q, s).count)
             iv = depth_certified(q, s, cover)
-            out += [iv.lower, iv.upper, depth_approx(q, s, cover).count]
+            out += [iv.lower, iv.upper]
         return out
 
     base = counts(1.0, 0.0)
@@ -658,7 +643,6 @@ def test_certified_counts_keep_fine_spread_far_from_origin():
         q = np.array([shift, shift])
         iv = depth_certified(q, s, cover)
         assert (iv.lower * s.n, iv.upper * s.n) == (0, 5)
-        assert depth_approx(q, s, cover).count == 5
         assert depth_exact_2d(q, s).count == 5
 
 
@@ -666,7 +650,7 @@ def test_depth_cover_dimension_mismatch():
     s = Sample(np.zeros((3, 3)) + np.arange(3)[:, None])
     cover = build_cover(2, 0.2)
     with pytest.raises(ValueError):
-        depth_approx([0.0, 0.0, 0.0], s, cover)
+        depth_certified([0.0, 0.0, 0.0], s, cover)
 
 
 # ---------------------------------------------------- pruned certified minimum
