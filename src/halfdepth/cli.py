@@ -166,10 +166,42 @@ def _parse_values(text: str, convert, name: str) -> list:
     return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
 
 
+# The kind-specific flags of `bound`, by dest, and the flags of the
+# covering-route kinds' constants.
+_BOUND_FLAGS = {
+    "lam": "--lambda", "c1": "--c1", "c2": "--c2", "lpi": "--lpi", "ltheta": "--ltheta",
+    "r": "--r", "delta": "--delta", "sharp_2d": "--sharp-2d", "exact_m": "--exact-m",
+}
+_COVERING_FLAGS = {"lam", "c1", "c2", "lpi", "ltheta", "sharp_2d"}
+# The kind-specific flags that each kind reads; every kind reads --n, --eps
+# and --d.
+_KIND_READS = {
+    "vc1": {"exact_m"},
+    "vc2": {"exact_m"},
+    "dkw": set(),
+    "prop-r-delta": _COVERING_FLAGS | {"r", "delta"},
+    "cor-delta": _COVERING_FLAGS | {"delta"},
+    "theorem": _COVERING_FLAGS,
+    "bivariate": set(),
+}
+
+
+def _refuse_unread_bound_flags(args) -> None:
+    """Raise ValueError naming every given flag that args.kind does not read."""
+    reads, mode = _KIND_READS[args.kind], ""
+    if args.sharp_2d and "sharp_2d" in reads:
+        # the exact circle count and planar tail replace c2's count and c1's envelope
+        reads, mode = reads - {"c1", "c2"}, " with --sharp-2d"
+    given = [dest for dest in _BOUND_FLAGS if getattr(args, dest) not in (None, False)]
+    unread = [_BOUND_FLAGS[dest] for dest in given if dest not in reads]
+    if unread:
+        raise ValueError(f"--kind {args.kind}{mode} does not read {', '.join(unread)}")
+
+
 def cmd_bound(args) -> int:
-    constants = dict(
-        lam=args.lam, c1=args.c1, lpi=args.lpi, ltheta=args.ltheta, c2=args.c2,
-    )
+    _refuse_unread_bound_flags(args)
+    constants = {key: getattr(args, key) for key in ("lam", "c1", "lpi", "ltheta", "c2")}
+    constants = {key: value for key, value in constants.items() if value is not None}
     n_values, eps_values = _parse_values(args.n, int, "n"), _parse_values(args.eps, float, "eps")
     if ".." in args.n or ".." in args.eps:
         rows = run_bound_sweep(
@@ -184,8 +216,8 @@ def cmd_bound(args) -> int:
     report = evaluate_bound(args.kind, params, sharp2d=args.sharp_2d, exact_m=args.exact_m)
     payload = report.to_dict()
     payload["params"] = {
-        "n": n, "eps": eps, "d": args.d, "lambda": args.lam, "C1": args.c1,
-        "C2": args.c2, "Lpi": args.lpi, "Ltheta": args.ltheta, "R": args.r,
+        "n": n, "eps": eps, "d": args.d, "lambda": params.lam, "C1": params.c1,
+        "C2": params.c2, "Lpi": params.lpi, "Ltheta": params.ltheta, "R": args.r,
         "delta": args.delta, "sharp2d": args.sharp_2d, "exact_m": args.exact_m,
     }
     _emit(payload, args.out)
@@ -298,17 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser(
         "bound", help="evaluate one deviation bound or sweep a grid",
-        description="A range a..b[..step] in --n or --eps sweeps the (n, eps) grid and emits CSV.",
+        description="A range a..b[..step] in --n or --eps sweeps the (n, eps) grid and emits CSV. "
+        "A flag that the kind does not read is refused.",
     )
     p_bound.add_argument("--kind", required=True, choices=list(BOUND_KINDS))
     p_bound.add_argument("--n", required=True, help="sample size, or a range a..b[..step]")
     p_bound.add_argument("--eps", required=True, help="deviation, or a range a..b[..step]")
     p_bound.add_argument("--d", type=int, default=2)
-    p_bound.add_argument("--lambda", dest="lam", type=float, default=BoundParams.lam)
-    p_bound.add_argument("--c1", type=float, default=BoundParams.c1)
-    p_bound.add_argument("--c2", type=float, default=BoundParams.c2)
-    p_bound.add_argument("--lpi", type=float, default=BoundParams.lpi)
-    p_bound.add_argument("--ltheta", type=float, default=BoundParams.ltheta)
+    p_bound.add_argument("--lambda", dest="lam", type=float)
+    p_bound.add_argument("--c1", type=float)
+    p_bound.add_argument("--c2", type=float)
+    p_bound.add_argument("--lpi", type=float)
+    p_bound.add_argument("--ltheta", type=float)
     p_bound.add_argument("--r", type=float)
     p_bound.add_argument("--delta", type=float)
     p_bound.add_argument("--sharp-2d", action="store_true",

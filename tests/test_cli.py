@@ -20,6 +20,7 @@ from halfdepth.cli import main
 from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
 from halfdepth.geometry import build_cover
 from halfdepth.population import elliptical_normal, standard_normal
+from test_geometry import fibonacci_sphere
 from test_output_digests import DIGESTS, _config
 
 
@@ -551,6 +552,38 @@ def test_bound_sweep_kind_that_cannot_be_evaluated_writes_nothing(capsys, argv, 
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "dkw", "--d", "1", "--r", "3", "--delta", "0.5", "--lambda", "7", "--exact-m"],
+         "--kind dkw does not read --lambda, --r, --delta, --exact-m"),
+        (["--kind", "vc2", "--d", "2", "--r", "3", "--delta", "0.5", "--sharp-2d", "--c2", "9"],
+         "--kind vc2 does not read --c2, --r, --delta, --sharp-2d"),
+        (["--kind", "theorem", "--d", "2", "--sharp-2d", "--c1", "2"],
+         "--kind theorem with --sharp-2d does not read --c1"),
+        (["--kind", "cor-delta", "--d", "2", "--delta", "0.5", "--r", "3"], "--kind cor-delta does not read --r"),
+        (["--kind", "bivariate", "--ltheta", "0.1"], "--kind bivariate does not read --ltheta"),
+    ],
+    ids=["dkw", "vc2", "theorem-sharp2d", "cor-delta", "bivariate"],
+)
+@pytest.mark.parametrize("n", ["200", "100..200"], ids=["point", "sweep"])
+def test_bound_refuses_flags_its_kind_does_not_read(capsys, argv, message, n):
+    code, out, err = run_cli(capsys, "bound", "--n", n, "--eps", "0.1", *argv)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+def test_bound_takes_every_flag_its_kind_reads(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--kind", "prop-r-delta", "--n", "300", "--eps", "0.2", "--d", "3", "--r", "3",
+        "--delta", "0.5", "--lambda", "1.5", "--c1", "2", "--c2", "3", "--lpi", "0.5", "--ltheta", "0.1",
+    )
+    assert code == 0, err
+    params = json.loads(out)["params"]
+    assert (params["lambda"], params["C1"], params["C2"], params["Lpi"], params["Ltheta"]) == (1.5, 2.0, 3.0, 0.5, 0.1)
+
+
 # --------------------------------------------------------------- experiment
 
 
@@ -672,10 +705,38 @@ print('ok')
 
 
 def test_d2_experiment_leaves_scipy_spatial_out():
-    # d=2 and d>=4 covers are closed-form; the convex hull that builds d=3
+    # Covers are closed-form in every d; the convex hull that checks supplied
     # covers must not load scipy.spatial into a planar run or a d>=4 cover.
     proc = subprocess.run(
         [sys.executable, "-c", _RUNS_WITHOUT_SCIPY_SPATIAL],
+        capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+_D3_RUNS_WITHOUT_SCIPY_SPATIAL = """
+import json, sys
+from halfdepth.cli import main
+from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
+from halfdepth.population import standard_normal
+res = run_deviation_experiment(ExperimentConfig(
+    dist=standard_normal(3), n=40, eps=0.25, trials=3, seed=5, psi=0.2,
+    kinds=('dkw', 'vc2', 'theorem'),
+))
+assert res.cover_size == 162
+assert main(['cover', '--d', '3', '--psi', '0.2', '--out', sys.argv[1]]) == 0
+assert len(json.load(open(sys.argv[1]))['centers']) == 162
+assert 'scipy.spatial' not in sys.modules
+print('ok')
+"""
+
+
+def test_d3_experiment_and_cover_leave_scipy_spatial_out(tmp_path):
+    # The d=3 cover is zonal rings proven in closed form: neither a d=3
+    # experiment nor `cover --d 3` computes a hull.
+    proc = subprocess.run(
+        [sys.executable, "-c", _D3_RUNS_WITHOUT_SCIPY_SPATIAL, str(tmp_path / "cover3.json")],
         capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
@@ -838,9 +899,8 @@ def test_oracle_verify_cover_pass_and_fail(capsys, tmp_path):
 def test_oracle_verify_cover_fails_on_exact_radius(capsys, tmp_path):
     # The 187-point Fibonacci lattice has exact radius 0.19957: sampling
     # finds no gap above 0.1990, but the hull does.
-    cover = build_cover(3, 0.2)
     path = tmp_path / "tight.json"
-    path.write_text(json.dumps({"d": 3, "psi": 0.199, "centers": cover.centers.tolist()}))
+    path.write_text(json.dumps({"d": 3, "psi": 0.199, "centers": fibonacci_sphere(187).tolist()}))
     code, out, _ = run_cli(
         capsys, "oracle", "verify-cover", "--file", str(path),
         "--trials", "100000", "--seed", "2",

@@ -12,13 +12,23 @@ import halfdepth.geometry as geometry
 from halfdepth.geometry import (
     CoverCheck,
     SphericalCover,
-    _fibonacci_sphere,
     build_cover,
     cover_radius,
     max_cover_radius,
     sample_directions,
     verify_cover,
 )
+
+
+def fibonacci_sphere(count):
+    """Fibonacci lattice on S^2: a near-uniform deterministic point set."""
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    i = np.arange(count, dtype=float)
+    z = 1.0 - 2.0 * (i + 0.5) / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    lon = 2.0 * math.pi * i / golden
+    pts = np.column_stack([r * np.cos(lon), r * np.sin(lon), z])
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
 def test_max_cover_radius_values():
@@ -134,20 +144,49 @@ def test_build_cover_3d_verified():
     assert check.max_gap <= 0.3
 
 
-def test_build_cover_3d_is_the_smallest_exact_fibonacci_cover():
-    for psi, count in ((0.3, 83), (0.2, 187), (0.1, 745)):
+def test_build_cover_3d_zonal_counts():
+    for psi, count in ((0.3, 72), (0.2, 162), (0.1, 640)):
         cover = build_cover(3, psi, rng=np.random.default_rng(1))
         assert cover.n_centers == count
-        assert cover_radius(cover.centers) <= psi < cover_radius(_fibonacci_sphere(count - 1))
-        np.testing.assert_array_equal(cover.centers, _fibonacci_sphere(count))
         # no randomness is consumed: every rng gives the same centers
         other = build_cover(3, psi, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(other.centers, cover.centers)
 
 
-@given(st.floats(min_value=0.08, max_value=0.6))
+def _rings(centers):
+    """(colatitude, longitudes) of each ring of a zonal cover, north to
+    south, and the number of poles."""
+    z = centers[:, 2]
+    poles = np.abs(z) == 1.0
+    rings = []
+    for zc in np.unique(z[~poles])[::-1]:
+        ring = centers[z == zc]
+        rings.append((math.acos(zc), np.arctan2(ring[:, 1], ring[:, 0])))
+    return rings, int(poles.sum())
+
+
+@pytest.mark.parametrize("psi", [0.05, 0.1, 0.2, 0.3, 0.6, 0.95])
+def test_build_cover_3d_cell_corners_within_psi(psi):
+    # The closed form: B bands of height h span [psi', pi - psi'], and every
+    # corner of a ring's cells (band edge, +-pi/k) lies within psi' of the
+    # ring's center at longitude 0, which bounds the whole cell.
+    radius = psi - 1e-12
+    bands = math.ceil((math.pi - 2.0 * radius) / (math.sqrt(2.0) * radius))
+    height = (math.pi - 2.0 * radius) / bands
+    rings, poles = _rings(build_cover(3, psi).centers)
+    assert poles == 2 and len(rings) == bands
+    for j, (c, lon) in enumerate(rings):
+        k = lon.size
+        assert k >= 2
+        np.testing.assert_allclose(np.sort(np.mod(lon, 2.0 * math.pi)), 2.0 * math.pi * np.arange(k) / k, atol=1e-12)
+        for t in (radius + j * height, radius + (j + 1) * height):
+            corner = math.cos(t) * math.cos(c) + math.sin(t) * math.sin(c) * math.cos(math.pi / k)
+            assert math.acos(min(corner, 1.0)) <= radius
+
+
+@given(st.floats(min_value=0.05, max_value=math.acos(3 ** -0.5), exclude_max=True))
 def test_build_cover_3d_exact_radius_within_psi(psi):
-    assert cover_radius(build_cover(3, psi).centers) <= psi
+    assert cover_radius(build_cover(3, psi).centers) <= psi - 1e-12
 
 
 def test_cover_radius_closed_forms():
@@ -161,7 +200,7 @@ def test_cover_radius_closed_forms():
     # an antipodal pair leaves a whole great circle pi/2 away
     assert cover_radius(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])) >= math.pi / 2.0
     # a hemisphere's worth of centers leaves the opposite pole uncovered
-    upper = _fibonacci_sphere(200)
+    upper = fibonacci_sphere(200)
     assert cover_radius(upper[upper[:, 2] > 0]) >= math.pi / 2.0
     with pytest.raises(ValueError):
         cover_radius(np.eye(5))
@@ -218,7 +257,6 @@ def test_build_cover_rejects_oversized_before_allocating(monkeypatch, d, psi):
     def refuse(*args):
         raise AssertionError("a cover array was allocated")
 
-    monkeypatch.setattr(geometry, "_fibonacci_sphere", refuse)
     monkeypatch.setattr(geometry, "_cube_face_grid", refuse)
     monkeypatch.setattr(geometry.np, "column_stack", refuse)
     message = rf"\(d={d}\) at psi={psi} would need .* centers, more than the cap of 1000000"

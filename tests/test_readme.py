@@ -1,6 +1,7 @@
 """The README's command lines run as written and exit 0."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -17,6 +18,12 @@ def readme_commands():
     """The argv of every line that starts with halfdepth in the README's sh
     blocks, in order. A line that ends in a backslash continues on the next,
     and a # starts a comment."""
+    return [argv for argv, _ in readme_lines()]
+
+
+def readme_lines():
+    """(argv, comment) of every README command line, as readme_commands
+    reads them; comment is the text after the line's #, or ""."""
     commands, in_sh, pending = [], False, ""
     for line in README.read_text().splitlines():
         if line.startswith("```"):
@@ -31,7 +38,7 @@ def readme_commands():
         pending = ""
         argv = shlex.split(line, comments=True)
         if argv and argv[0] == "halfdepth":
-            commands.append(argv[1:])
+            commands.append((argv[1:], line.partition("#")[2].strip()))
     return commands
 
 
@@ -52,3 +59,19 @@ def test_readme_commands_exit_zero(capsys, tmp_path, monkeypatch):
         err = capsys.readouterr().err
         assert code == 0, (argv, err)
     assert Path("sweep.csv").exists() and Path("out500/summary.json").exists()
+
+
+def test_readme_cover_comments_count_the_centers(capsys, tmp_path, monkeypatch):
+    # A "# N centers" comment on a cover line is the number of centers that
+    # the command writes.
+    monkeypatch.chdir(tmp_path)
+    counted = 0
+    for argv, comment in readme_lines():
+        match = re.fullmatch(r"([\d,]+) centers", comment)
+        if argv[0] != "cover" or match is None:
+            continue
+        assert main(argv) == 0, capsys.readouterr().err
+        written = json.loads(Path(argv[argv.index("--out") + 1]).read_text())["centers"]
+        assert len(written) == int(match[1].replace(",", "")), argv
+        counted += 1
+    assert counted == 2

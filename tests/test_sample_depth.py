@@ -700,7 +700,7 @@ def _spy_on_searchsorted(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _oracle_covers(d):
-    """The harness-sized covers (159 centers in d=2 at psi=0.02, 187 in d=3 at
+    """The harness-sized covers (159 centers in d=2 at psi=0.02, 162 in d=3 at
     psi=0.2, 512 in d=4 at psi=0.5) and, in d=2, the 4 axes at psi=0.78,
     fewer centers than one stride."""
     cover = build_cover(d, {2: 0.02, 3: 0.2, 4: 0.5}[d])
@@ -755,7 +755,7 @@ def test_certified_counts_equal_the_full_search(d, data, monkeypatch):
 
 
 def test_certified_counts_search_few_thresholds(monkeypatch):
-    # The harness's d=3 case: n=300 against the 187 centers at psi=0.2, the
+    # The harness's d=3 case: n=300 against the 162 centers at psi=0.2, the
     # 25 auto queries, 20 seeded samples. A query searches at most a third
     # of its 2m thresholds on average, and its counts equal the full search.
     dist = standard_normal(3)
