@@ -11,19 +11,11 @@ from .bounds import (
     BoundParams,
     BoundReport,
     Precondition,
-    bound_balanced_tail,
-    bound_bivariate_normal,
-    bound_free_params,
-    bound_parameter_free,
-    dkw_bound,
     evaluate_bound,
     halfplane_subset_count,
     improvement_factor,
     regular_polygon,
     shatter_exact_2d,
-    shatter_upper,
-    vc_bound_double_sample,
-    vc_bound_squared_sample,
 )
 from .experiments import (
     BoundComparison,
@@ -93,10 +85,6 @@ __all__ = [
     "TrialResult",
     "affine_reduce",
     "auto_queries",
-    "bound_balanced_tail",
-    "bound_bivariate_normal",
-    "bound_free_params",
-    "bound_parameter_free",
     "build_cover",
     "cdf_projected_many",
     "cover_radius",
@@ -107,7 +95,6 @@ __all__ = [
     "depth_certified_many",
     "depth_exact_2d",
     "depth_exact_2d_many",
-    "dkw_bound",
     "draw_sample",
     "elliptical_normal",
     "evaluate_bound",
@@ -122,14 +109,11 @@ __all__ = [
     "run_deviation_experiment",
     "sample_directions",
     "shatter_exact_2d",
-    "shatter_upper",
     "split_seed",
     "standard_normal",
     "sup_deviation",
     "sweep_rows_to_csv",
     "tail_probability_bound",
-    "vc_bound_double_sample",
-    "vc_bound_squared_sample",
     "verify_cover",
     "write_outputs",
 ]

@@ -4,10 +4,47 @@ Two routes bound Pr(sup over directions and thresholds of |F_n - F| > eps):
 a VC shatter-count route with coefficient growing like n^(2d+2), and a
 covering route (finitely many directions, a DKW bound per direction, a
 Lipschitz bridge between directions, and a radial tail cutoff) whose
-coefficient grows like n^(3(d-1)/2). Every evaluator returns a BoundReport
-that records preconditions, intermediate quantities, and whether the
-result says anything at all (a probability lower bound <= 0, or a
-deviation upper bound >= 1, is vacuous but never an error).
+coefficient grows like n^(3(d-1)/2). evaluate_bound(kind, params) is the
+one entry. It returns a BoundReport that records preconditions,
+intermediate quantities, and whether the result says anything at all (a
+probability lower bound <= 0, or a deviation upper bound >= 1, is vacuous
+but never an error).
+
+BOUND_TABLE holds each kind's evaluator, the inputs it reads and the
+dimension at which it is proven. The kinds, with m(r) the number of
+subsets that halfspaces cut from r points, at most 1.5 r^(d+1) / (d+1)!,
+or exactly r^2 - r + 2 in the plane (exact_m):
+
+- vc1: Pr(sup > eps) <= 4 m(2n) exp(-n eps^2 / 8), the double-sample
+  trick.
+- vc2: Pr(sup > eps) <= 4 m(n^2) exp(-2 n eps^2), the sharper-exponent
+  variant.
+- dkw: Pr(sup > eps) <= 2 exp(-2 n eps^2), the one-dimensional uniform
+  CDF deviation bound.
+- prop-r-delta, with the tail radius R and the margin delta free:
+  Pr(sup <= eps) >= 1 - 2 count(psi_eff) exp(-2 n eps^2 / (1+delta)^2)
+                       - c1 n R^(3d-5) exp(-lam R^2 / 2),
+  where psi_eff = eps delta / ((1+delta) (ltheta + lpi R)) is the cover
+  radius that the Lipschitz bridge allows and count(psi) =
+  c2 (sqrt(d)/psi)^(d-1) (d-1)^(3/2) ln d. It holds when psi_eff is an
+  admissible cover radius and R > 1. sharp2d replaces the count with the
+  exact circle count pi/psi + 1, and the tail envelope with the exact
+  planar Gaussian tail n exp(-lam R^2 / 2).
+- cor-delta: prop-r-delta at R = 2 eps sqrt(n) / (sqrt(lam) (1+delta)),
+  where both penalties fall under exp(-2 n eps^2 / (1+delta)^2):
+  1 - (2 count + c1 (2 eps / (sqrt(lam) (1+delta)))^(3d-5) n^(3(d-1)/2))
+      * exp(-2 n eps^2 / (1+delta)^2).
+- theorem: cor-delta at delta = 1/n with the relaxed exponential
+  e^4 exp(-2 n eps^2), which is at least exp(-2 n eps^2 (1+1/n)^-2) for
+  eps <= 1:
+  1 - (2 c2 ((ltheta sqrt(lam) (n+1) + 2 lpi n^(3/2) eps) sqrt(d)
+             / (eps sqrt(lam)))^(d-1) (d-1)^(3/2) ln d
+       + c1 (2 eps n / (sqrt(lam) (n+1)))^(3d-5) n^(3(d-1)/2))
+      * e^4 exp(-2 n eps^2).
+  Both penalties share their coefficients with the delta = 1/n cor-delta
+  value, reported as strict_delta_value, so this value never exceeds it.
+- bivariate: the sharp-2d theorem for the planar standard normal,
+  1 - (2 sqrt(2 pi) n^(3/2) + n + 2) e^4 exp(-2 n eps^2).
 
 The evaluators work on arrays first: n and eps may be equal-shape arrays
 (a grid of points), and one call evaluates every point, with array fields
@@ -25,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,8 +72,6 @@ from .population import SQRT_2PI, DistributionSpec
 # exp() clamp: beyond this the penalty is astronomically vacuous anyway,
 # and clamping keeps sweep outputs finite and comparable.
 _EXP_CLAMP = 700.0
-
-BOUND_KINDS = ("vc1", "vc2", "dkw", "prop-r-delta", "cor-delta", "theorem", "bivariate")
 
 
 def _exp_clamped(z) -> np.ndarray:
@@ -107,7 +142,7 @@ class BoundReport:
 class BoundParams:
     """Inputs shared by the bound evaluators.
 
-    n and eps are one point (an int and a float) or a grid of points
+    n and eps are one point (an integer and a float) or a grid of points
     (equal-shape arrays); the grid is validated once, and its first bad
     point is named in the error. lam, c1 describe the radial tail envelope
     c1 * R^(3d-5) * e^(-lam R^2/2); lpi bounds every projected density;
@@ -132,9 +167,13 @@ class BoundParams:
         n, eps = np.asarray(self.n), np.asarray(self.eps)
         if n.shape != eps.shape:
             raise ValueError(f"n and eps must have one shape, got {n.shape} and {eps.shape}")
-        bad_n = n < 1
+        with np.errstate(invalid="ignore"):  # inf % 1 is nan, so inf is no integer either
+            fractional = (n.dtype == bool) | (n % 1 != 0)
+        bad_n = fractional | (n < 1)
         bad = bad_n | ~((0.0 < eps) & (eps <= 1.0))
         if bad.any():
+            if _first(fractional, bad):
+                raise ValueError(f"n must be an integer, got {_first(n, bad)}")
             if _first(bad_n, bad):
                 raise ValueError(f"n must be >= 1, got {_first(n, bad)}")
             raise ValueError(f"eps must be in (0, 1], got {_first(eps, bad)}")
@@ -169,7 +208,7 @@ def _flat(params: BoundParams) -> tuple[np.ndarray, np.ndarray]:
     return np.ravel(params.n).astype(float), np.ravel(params.eps).astype(float)
 
 
-def _report(params: BoundParams, kind: str, bound_type: str, value, pre, inter, caveats=()) -> BoundReport:
+def _report(params: BoundParams, kind: str, bound_type: str, value, pre, inter, caveats) -> BoundReport:
     """A report shaped like params' grid from flat per-point arrays and
     constants; a scalar point gets Python scalars."""
     shape = np.shape(params.n)
@@ -195,13 +234,6 @@ def _report(params: BoundParams, kind: str, bound_type: str, value, pre, inter, 
         intermediates={key: shaped(x) for key, x in inter.items()},
         caveats=caveats,
     )
-
-
-def shatter_upper(r: int, d: int) -> float:
-    """Upper bound (3/2) r^(d+1) / (d+1)! on halfspace subset counts."""
-    if r < 1 or d < 1:
-        raise ValueError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
-    return _log_shatter([r], d, exact_m=False)[1].item()
 
 
 def shatter_exact_2d(r: int) -> int:
@@ -271,92 +303,73 @@ def regular_polygon(r: int, radius: float = 1.0) -> np.ndarray:
     return radius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def _log_shatter(r: list[int], d: int, exact_m: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(log m, m clamped to float) of the chosen shatter count at each
-    argument in r, a list of Python ints so the exact count stays exact."""
+def improvement_factor(n, d: int):
+    """Coefficient improvement n^((d+7)/2) of the covering route over the VC route,
+    at one n or over an array of them.
+
+    The VC coefficient degree is 2d+2 and the covering-route degree is
+    3(d-1)/2; the difference is (d+7)/2 exactly. Like every other bound
+    quantity, the factor is clamped at e^700 once its log passes 700.
+    """
+    if d < 2 or np.any(np.less(n, 1)):
+        raise ValueError(f"need n >= 1 and d >= 2, got n={_first(n, np.less(n, 1))}, d={d}")
+    power = (d + 7) / 2
+    clamped = power * _libm(math.log, n) > _EXP_CLAMP
+    base = np.where(clamped, 1.0, np.asarray(n, dtype=float))
+    factor = np.where(clamped, math.exp(_EXP_CLAMP), _libm(pow, base, power))
+    return factor if factor.ndim else factor.item()
+
+
+# Each evaluator below takes (params, sharp2d, exact_m) and returns
+# (bound_type, value, preconditions, intermediates, caveats) as flat
+# per-point arrays; evaluate_bound shapes them into the report. Its
+# formula is in the module docstring.
+
+
+def _vc(params: BoundParams, r: list[int], exponent, exact_m: bool) -> tuple:
+    """The VC bound 4 m(r) e^exponent, with m the exact planar count when
+    exact_m, at each shatter argument in r, a list of Python ints so the
+    exact count stays exact."""
     if exact_m:
-        if d != 2:
-            raise ValueError("the exact planar subset count applies only to d=2")
         m = [shatter_exact_2d(v) for v in r]
-        return _libm(math.log, m), _libm(float, m)
-    log_m = math.log(1.5) + (d + 1) * _libm(math.log, r) - math.lgamma(d + 2)
-    return log_m, _exp_clamped(log_m)
-
-
-def _vc_report(kind: str, params: BoundParams, r: list[int], exponent, exact_m: bool) -> BoundReport:
-    log_m, m_value = _log_shatter(r, params.d, exact_m)
+        log_m, m_value = _libm(math.log, m), _libm(float, m)
+    else:
+        log_m = math.log(1.5) + (params.d + 1) * _libm(math.log, r) - math.lgamma(params.d + 2)
+        m_value = _exp_clamped(log_m)
     value = _exp_clamped(math.log(4.0) + log_m + exponent)
-    return _report(
-        params,
-        kind,
-        "deviation_upper",
-        value,
-        (),
-        {
-            "shatter_argument": _libm(float, r),
-            "shatter_count": m_value,
-            "exponent": exponent,
-            "probability_lower_bound": 1.0 - value,
-            "coefficient_degree": float(2 * params.d + 2),
-            "exact_shatter_2d": 1.0 if exact_m else 0.0,
-        },
-        ("asymptotic_in_n",),
-    )
+    inter = {
+        "shatter_argument": _libm(float, r),
+        "shatter_count": m_value,
+        "exponent": exponent,
+        "probability_lower_bound": 1.0 - value,
+        "coefficient_degree": float(2 * params.d + 2),
+        "exact_shatter_2d": 1.0 if exact_m else 0.0,
+    }
+    return "deviation_upper", value, (), inter, ("asymptotic_in_n",)
 
 
-def vc_bound_double_sample(params: BoundParams, exact_m: bool = False) -> BoundReport:
-    """Deviation bound 4 m(2n) exp(-n eps^2 / 8) from the double-sample trick."""
+def _vc1(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
     n, eps = _flat(params)
-    r = [2 * v for v in np.ravel(params.n).tolist()]
-    return _vc_report("vc1", params, r, -n * _libm(pow, eps, 2) / 8.0, exact_m)
+    return _vc(params, [2 * v for v in np.ravel(params.n).tolist()], -n * _libm(pow, eps, 2) / 8.0, exact_m)
 
 
-def vc_bound_squared_sample(params: BoundParams, exact_m: bool = False) -> BoundReport:
-    """Deviation bound 4 m(n^2) exp(-2 n eps^2), the sharper-exponent variant."""
+def _vc2(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
     n, eps = _flat(params)
-    r = [v * v for v in np.ravel(params.n).tolist()]
-    return _vc_report("vc2", params, r, -2.0 * n * _libm(pow, eps, 2), exact_m)
+    return _vc(params, [v * v for v in np.ravel(params.n).tolist()], -2.0 * n * _libm(pow, eps, 2), exact_m)
 
 
-def dkw_bound(n, eps):
-    """One-dimensional uniform CDF deviation bound 2 exp(-2 n eps^2), at a
-    point or over equal-shape arrays of n and eps."""
-    if np.any(np.less(n, 1)):
-        raise ValueError(f"n must be >= 1, got {_first(n, np.less(n, 1))}")
-    if np.any(np.less(eps, 0)):
-        raise ValueError(f"eps must be nonnegative, got {_first(eps, np.less(eps, 0))}")
-    value = 2.0 * _libm(math.exp, -2.0 * np.asarray(n, dtype=float) * eps * eps)
-    return value if value.ndim else value.item()
+def _dkw(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
+    n, eps = _flat(params)
+    value = 2.0 * _libm(math.exp, -2.0 * n * eps * eps)
+    inter = {"exponent": -2.0 * n * _libm(pow, eps, 2), "probability_lower_bound": 1.0 - value}
+    return "deviation_upper", value, (), inter, ("one_dimensional_statement",) if params.d > 1 else ()
 
 
-def _require(params: BoundParams, *names: str) -> None:
-    for name in names:
-        if getattr(params, name) is None:
-            raise ValueError(f"this bound requires the parameter {name!r}")
-    if params.d < 2:
-        raise ValueError(f"the covering-route bounds require d >= 2, got d={params.d}")
+def _covering_route(params: BoundParams, delta, sharp2d: bool, r=None, relaxed: bool = False) -> tuple:
+    """The covering-route bound at margin delta and tail radius r (each a
+    float or per-point array): prop-r-delta's form.
 
-
-def _cover_log_coef(params: BoundParams, psi_eff, sharp2d: bool):
-    """(log of 2*count, count) for the direction-cover penalty coefficient."""
-    d = params.d
-    if sharp2d:
-        if d != 2:
-            raise ValueError("sharp-2d mode applies only to d=2")
-        count = math.pi / psi_eff + 1.0
-        return math.log(2.0) + _libm(math.log, count), count
-    log_count = math.log(params.c2) + log_covering_count(d, psi_eff)
-    return math.log(2.0) + log_count, _exp_clamped(log_count)
-
-
-def _covering_route(
-    params: BoundParams, r, delta, sharp2d: bool, balanced: bool, relaxed: bool
-) -> tuple[np.ndarray, tuple[Precondition, ...], dict]:
-    """(value, preconditions, intermediates) of the covering-route bound at
-    tail radius r and margin delta (each a float or per-point array), as
-    flat per-point arrays; see bound_free_params for its form.
-
-    balanced: r is the balanced radius, where the tail exponential equals
+    With no r, r is the balanced radius, where the tail exponential equals
     the per-direction one, so both penalties share one exponent. relaxed
     (balanced, delta = 1/n): both penalties take the relaxed exponent
     4 - 2 n eps^2, which is at least -2 n eps^2 / (1+1/n)^2 for eps <= 1.
@@ -365,16 +378,23 @@ def _covering_route(
     """
     n, eps = _flat(params)
     d = params.d
+    balanced = r is None
+    if balanced:
+        r = 2.0 * eps * np.sqrt(n) / (math.sqrt(params.lam) * (1.0 + delta))
     psi_eff = eps * delta / ((1.0 + delta) * (params.ltheta + params.lpi * r))
     limit = max_cover_radius(d)
     pre = (
         Precondition("cover_radius_in_range", psi_eff < limit, psi_eff, limit),
         Precondition("balanced_radius_above_one" if balanced else "tail_radius_above_one", r > 1.0, 1.0, r),
     )
-    log_cover_coef, count = _cover_log_coef(params, psi_eff, sharp2d)
+    # The penalties' log-coefficients: 2 * count and the tail envelope's.
     if sharp2d:
+        count = math.pi / psi_eff + 1.0
+        log_cover_coef = math.log(2.0) + _libm(math.log, count)
         log_tail_coef = _libm(math.log, n)
     else:
+        log_count = math.log(params.c2) + log_covering_count(d, psi_eff)
+        log_cover_coef, count = math.log(2.0) + log_count, _exp_clamped(log_count)
         log_tail_coef = math.log(params.c1) + _libm(math.log, n) + (3 * d - 5) * _libm(math.log, r)
     exponent = -2.0 * n * eps * eps / _libm(pow, 1.0 + delta, 2)
     tail_exponent = exponent if balanced else -params.lam * r * r / 2.0
@@ -396,129 +416,57 @@ def _covering_route(
         inter["cover_exponent"] = exponent
         inter["tail_exponent"] = tail_exponent
         inter["R"] = r
-    return value, pre, inter
+    return "probability_lower", value, pre, inter, ()
 
 
-def bound_free_params(params: BoundParams, sharp2d: bool = False) -> BoundReport:
-    """Probability lower bound with both the tail radius R and margin delta free.
-
-    value = 1 - 2 * count(psi_eff) * exp(-2 n eps^2 / (1+delta)^2)
-              - c1 * n * R^(3d-5) * exp(-lam R^2 / 2)
-    where psi_eff = eps * delta / ((1+delta) * (ltheta + lpi * R)) is the
-    cover radius induced by the Lipschitz bridge. Valid when psi_eff is an
-    admissible cover radius and R > 1. sharp2d replaces the generic cover
-    count with the exact circle count pi/psi + 1 and the tail envelope
-    with the exact planar Gaussian tail n * exp(-lam R^2 / 2).
-    """
-    _require(params, "r", "delta")
-    value, pre, inter = _covering_route(params, params.r, params.delta, sharp2d, False, False)
-    return _report(params, "prop-r-delta", "probability_lower", value, pre, inter)
+def _prop_r_delta(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
+    return _covering_route(params, params.delta, sharp2d, r=params.r)
 
 
-def _balanced_radius(params: BoundParams, delta):
-    """R equating the tail exponential with the per-direction one."""
-    n, eps = _flat(params)
-    return 2.0 * eps * np.sqrt(n) / (math.sqrt(params.lam) * (1.0 + delta))
+def _cor_delta(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
+    return _covering_route(params, params.delta, sharp2d)
 
 
-def bound_balanced_tail(params: BoundParams, sharp2d: bool = False) -> BoundReport:
-    """Probability lower bound with R chosen to equate both exponentials.
-
-    This is bound_free_params at R = 2 eps sqrt(n) / (sqrt(lam) (1+delta)),
-    where both penalties fall under exp(-2 n eps^2 / (1+delta)^2):
-
-    value = 1 - (2 * count + c1 * (2 eps / (sqrt(lam)(1+delta)))^(3d-5)
-                 * n^(3(d-1)/2)) * exp(-2 n eps^2 / (1+delta)^2)
-    """
-    _require(params, "delta")
-    delta = params.delta
-    value, pre, inter = _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, False)
-    return _report(params, "cor-delta", "probability_lower", value, pre, inter)
+def _theorem(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
+    return _covering_route(params, 1.0 / _flat(params)[0], sharp2d, relaxed=True)
 
 
-def _theorem_route(params: BoundParams, sharp2d: bool) -> tuple:
-    delta = 1.0 / _flat(params)[0]
-    return _covering_route(params, _balanced_radius(params, delta), delta, sharp2d, True, True)
+def _bivariate(params: BoundParams, sharp2d: bool, exact_m: bool) -> tuple:
+    """The sharp-2d theorem at BoundParams(n, eps, d=2), whose defaults are
+    the standard normal's constants, whatever params' other fields."""
+    _, value, _, inter, _ = _theorem(BoundParams(n=params.n, eps=params.eps, d=2), True, False)
+    planar = Precondition("planar", params.d == 2, float(abs(params.d - 2)), 0.5)
+    inter = {"coefficient": 2.0 * inter["cover_count"] + _flat(params)[0], "exponent": inter["exponent"]}
+    return "probability_lower", value, (planar,), inter, ("standard_bivariate_normal_only",)
 
 
-def bound_parameter_free(params: BoundParams, sharp2d: bool = False) -> BoundReport:
-    """Fully explicit probability lower bound, margin fixed at delta = 1/n.
+class BoundKind(NamedTuple):
+    """One kind of BOUND_TABLE: its evaluator, the inputs beyond n, eps and
+    d that it reads (BoundParams fields and evaluate_bound flags), and the
+    dimension at which it is a proven bound that the harness enforces
+    (None for the covering kinds, which carry the uncalibrated C2, and for
+    bivariate, which holds only for the standard normal)."""
 
-    This is bound_balanced_tail at delta = 1/n with the relaxed exponential
-    e^4 exp(-2 n eps^2), which upper-bounds exp(-2 n eps^2 (1+1/n)^-2) for
-    eps <= 1:
-
-    value = 1 - (2 c2 ((ltheta sqrt(lam) (n+1) + 2 lpi n^(3/2) eps) sqrt(d)
-                 / (eps sqrt(lam)))^(d-1) (d-1)^(3/2) ln d
-               + c1 (2 eps n / (sqrt(lam)(n+1)))^(3d-5) n^(3(d-1)/2))
-              * e^4 * exp(-2 n eps^2)
-
-    Both penalties share their coefficients with the delta = 1/n balanced
-    value, reported as strict_delta_value, so this value never exceeds it.
-    """
-    _require(params)
-    value, pre, inter = _theorem_route(params, sharp2d)
-    return _report(params, "theorem", "probability_lower", value, pre, inter)
+    evaluate: Callable[[BoundParams, bool, bool], tuple]
+    reads: frozenset[str]
+    proven_d: int | None
 
 
-def bound_bivariate_normal(n, eps):
-    """Fully explicit bound for the planar standard normal:
+_COVERING = frozenset({"lam", "c1", "c2", "lpi", "ltheta", "sharp2d"})
 
-    1 - (2 sqrt(2 pi) n^(3/2) + n + 2) e^4 exp(-2 n eps^2).
-
-    This is the sharp-2d parameter-free bound at BoundParams(n, eps, d=2),
-    whose defaults are the standard normal's constants: the exact circle
-    covering count and the exact planar Gaussian tail.
-    """
-    return _bivariate_report(BoundParams(n=n, eps=eps, d=2)).value
-
-
-def improvement_factor(n, d: int):
-    """Coefficient improvement n^((d+7)/2) of the covering route over the VC route,
-    at one n or over an array of them.
-
-    The VC coefficient degree is 2d+2 and the covering-route degree is
-    3(d-1)/2; the difference is (d+7)/2 exactly. Like every other bound
-    quantity, the factor is clamped at e^700 once its log passes 700.
-    """
-    if d < 2 or np.any(np.less(n, 1)):
-        raise ValueError(f"need n >= 1 and d >= 2, got n={_first(n, np.less(n, 1))}, d={d}")
-    power = (d + 7) / 2
-    clamped = power * _libm(math.log, n) > _EXP_CLAMP
-    base = np.where(clamped, 1.0, np.asarray(n, dtype=float))
-    factor = np.where(clamped, math.exp(_EXP_CLAMP), _libm(pow, base, power))
-    return factor if factor.ndim else factor.item()
-
-
-def _bivariate_report(params: BoundParams) -> BoundReport:
-    value, _, inter = _theorem_route(BoundParams(n=params.n, eps=params.eps, d=2), sharp2d=True)
-    return _report(
-        params,
-        "bivariate",
-        "probability_lower",
-        value,
-        (Precondition("planar", params.d == 2, float(abs(params.d - 2)), 0.5),),
-        {
-            "coefficient": 2.0 * inter["cover_count"] + _flat(params)[0],
-            "exponent": inter["exponent"],
-        },
-        ("standard_bivariate_normal_only",),
-    )
-
-
-def _dkw_report(params: BoundParams) -> BoundReport:
-    n, eps = _flat(params)
-    value = dkw_bound(n, eps)
-    caveats = ("one_dimensional_statement",) if params.d > 1 else ()
-    return _report(
-        params,
-        "dkw",
-        "deviation_upper",
-        value,
-        (),
-        {"exponent": -2.0 * n * _libm(pow, eps, 2), "probability_lower_bound": 1.0 - value},
-        caveats,
-    )
+# Every bound kind, in the order of BOUND_KINDS. With sharp2d, the
+# covering kinds read neither c1 nor c2: the exact circle count and the
+# planar Gaussian tail replace them.
+BOUND_TABLE: Mapping[str, BoundKind] = {
+    "vc1": BoundKind(_vc1, frozenset({"exact_m"}), 2),
+    "vc2": BoundKind(_vc2, frozenset({"exact_m"}), 2),
+    "dkw": BoundKind(_dkw, frozenset(), 1),
+    "prop-r-delta": BoundKind(_prop_r_delta, _COVERING | {"r", "delta"}, None),
+    "cor-delta": BoundKind(_cor_delta, _COVERING | {"delta"}, None),
+    "theorem": BoundKind(_theorem, _COVERING, None),
+    "bivariate": BoundKind(_bivariate, frozenset(), None),
+}
+BOUND_KINDS = tuple(BOUND_TABLE)
 
 
 def evaluate_bound(
@@ -528,27 +476,27 @@ def evaluate_bound(
     exact_m: bool = False,
 ) -> BoundReport:
     """Evaluate one bound kind at every point of params' grid; kinds are
-    listed in BOUND_KINDS.
+    listed in BOUND_KINDS, and BOUND_TABLE says what each one reads.
 
     One call serves a whole grid: the report's value, flags, preconditions
     and intermediates are arrays of the grid's shape, each element bit for
     bit the scalar evaluation at its point. A scalar params is a one-point
-    grid whose report holds Python floats and bools. A kind that cannot be
-    evaluated for params' d, flags or missing r or delta raises ValueError
-    before any point is evaluated.
+    grid whose report holds Python floats and bools. A flag or field that
+    the kind does not read is ignored. A kind that reads r or delta needs
+    it; one that reads c2 needs d >= 2; sharp2d and exact_m need d = 2
+    where the kind reads them. Each of these raises ValueError before any
+    point is evaluated.
     """
-    if kind == "vc1":
-        return vc_bound_double_sample(params, exact_m=exact_m)
-    if kind == "vc2":
-        return vc_bound_squared_sample(params, exact_m=exact_m)
-    if kind == "dkw":
-        return _dkw_report(params)
-    if kind == "prop-r-delta":
-        return bound_free_params(params, sharp2d=sharp2d)
-    if kind == "cor-delta":
-        return bound_balanced_tail(params, sharp2d=sharp2d)
-    if kind == "theorem":
-        return bound_parameter_free(params, sharp2d=sharp2d)
-    if kind == "bivariate":
-        return _bivariate_report(params)
-    raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
+    entry = BOUND_TABLE[kind]
+    for name in ("r", "delta"):
+        if name in entry.reads and getattr(params, name) is None:
+            raise ValueError(f"this bound requires the parameter {name!r}")
+    if "c2" in entry.reads and params.d < 2:
+        raise ValueError(f"the covering-route bounds require d >= 2, got d={params.d}")
+    if sharp2d and "sharp2d" in entry.reads and params.d != 2:
+        raise ValueError("sharp-2d mode applies only to d=2")
+    if exact_m and "exact_m" in entry.reads and params.d != 2:
+        raise ValueError("the exact planar subset count applies only to d=2")
+    return _report(params, kind, *entry.evaluate(params, sharp2d, exact_m))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bounds import (
     BOUND_KINDS,
+    BOUND_TABLE,
     BoundParams,
     evaluate_bound,
     halfplane_subset_count,
@@ -166,30 +167,19 @@ def _parse_values(text: str, convert, name: str) -> list:
     return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
 
 
-# The kind-specific flags of `bound`, by dest, and the flags of the
-# covering-route kinds' constants.
+# The flags of `bound` that a kind may or may not read, by the name of the
+# input in BOUND_TABLE (also the flag's dest); every kind reads --n, --eps
+# and --d.
 _BOUND_FLAGS = {
     "lam": "--lambda", "c1": "--c1", "c2": "--c2", "lpi": "--lpi", "ltheta": "--ltheta",
-    "r": "--r", "delta": "--delta", "sharp_2d": "--sharp-2d", "exact_m": "--exact-m",
-}
-_COVERING_FLAGS = {"lam", "c1", "c2", "lpi", "ltheta", "sharp_2d"}
-# The kind-specific flags that each kind reads; every kind reads --n, --eps
-# and --d.
-_KIND_READS = {
-    "vc1": {"exact_m"},
-    "vc2": {"exact_m"},
-    "dkw": set(),
-    "prop-r-delta": _COVERING_FLAGS | {"r", "delta"},
-    "cor-delta": _COVERING_FLAGS | {"delta"},
-    "theorem": _COVERING_FLAGS,
-    "bivariate": set(),
+    "r": "--r", "delta": "--delta", "sharp2d": "--sharp-2d", "exact_m": "--exact-m",
 }
 
 
 def _refuse_unread_bound_flags(args) -> None:
     """Raise ValueError naming every given flag that args.kind does not read."""
-    reads, mode = _KIND_READS[args.kind], ""
-    if args.sharp_2d and "sharp_2d" in reads:
+    reads, mode = BOUND_TABLE[args.kind].reads, ""
+    if args.sharp2d and "sharp2d" in reads:
         # the exact circle count and planar tail replace c2's count and c1's envelope
         reads, mode = reads - {"c1", "c2"}, " with --sharp-2d"
     given = [dest for dest in _BOUND_FLAGS if getattr(args, dest) not in (None, False)]
@@ -206,19 +196,19 @@ def cmd_bound(args) -> int:
     if ".." in args.n or ".." in args.eps:
         rows = run_bound_sweep(
             [args.kind], n_values, eps_values, args.d,
-            delta=args.delta, r=args.r, sharp2d=args.sharp_2d, exact_m=args.exact_m,
+            delta=args.delta, r=args.r, sharp2d=args.sharp2d, exact_m=args.exact_m,
             **constants,
         )
         _emit(sweep_rows_to_csv(rows), args.out)
         return 0
     (n,), (eps,) = n_values, eps_values
     params = BoundParams(n=n, eps=eps, d=args.d, r=args.r, delta=args.delta, **constants)
-    report = evaluate_bound(args.kind, params, sharp2d=args.sharp_2d, exact_m=args.exact_m)
+    report = evaluate_bound(args.kind, params, sharp2d=args.sharp2d, exact_m=args.exact_m)
     payload = report.to_dict()
     payload["params"] = {
         "n": n, "eps": eps, "d": args.d, "lambda": params.lam, "C1": params.c1,
         "C2": params.c2, "Lpi": params.lpi, "Ltheta": params.ltheta, "R": args.r,
-        "delta": args.delta, "sharp2d": args.sharp_2d, "exact_m": args.exact_m,
+        "delta": args.delta, "sharp2d": args.sharp2d, "exact_m": args.exact_m,
     }
     _emit(payload, args.out)
     return 0
@@ -344,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--ltheta", type=float)
     p_bound.add_argument("--r", type=float)
     p_bound.add_argument("--delta", type=float)
-    p_bound.add_argument("--sharp-2d", action="store_true",
+    p_bound.add_argument("--sharp-2d", dest="sharp2d", action="store_true",
                          help="planar specialization: exact circle cover and Gaussian tail")
     p_bound.add_argument("--exact-m", action="store_true",
                          help="use the exact planar subset count in the VC bounds")

@@ -19,18 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BOUND_KINDS, BoundParams, BoundReport, evaluate_bound, improvement_factor
+from .bounds import BOUND_KINDS, BOUND_TABLE, BoundParams, BoundReport, evaluate_bound, improvement_factor
 from .geometry import SphericalCover, build_cover
 from .population import DistributionSpec, population_depth
 from .sample_depth import Sample, _query_radii, depth_1d, depth_certified, depth_exact_2d_many, sup_deviation
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-# Kinds whose violation is a genuine validity failure. The covering-route
-# bounds carry the uncalibrated leading constant C2 and are reported as
-# findings instead.
-_ENFORCED = {"dkw": 1, "vc1": 2, "vc2": 2}
 
 
 def _mix64(x: int) -> int:
@@ -147,8 +142,16 @@ class ExperimentConfig:
         numbers = {}
         for key, convert, default in _CONFIG_NUMBERS:
             value = data.get(key, default)
+            if value is None and default is None:
+                numbers[key] = None
+                continue
+            # int() would truncate a fraction, and would take a bool for 0 or 1
+            if isinstance(value, bool):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            if convert is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{key} must be an integer, got {value!r}")
             try:
-                numbers[key] = None if value is None and default is None else convert(value)
+                numbers[key] = convert(value)
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must be a number, got {value!r}") from None
         return cls(dist=dist, queries=data.get("queries", "auto"), kinds=data.get("kinds", ()), **numbers)
@@ -291,7 +294,7 @@ def _bound_reports(cfg: ExperimentConfig) -> tuple[BoundReport, ...]:
         cfg.dist, cfg.n, cfg.eps, c2=cfg.c2, delta=cfg.delta, r=cfg.r
     )
     return tuple(
-        evaluate_bound(kind, params, exact_m=(kind in ("vc1", "vc2") and cfg.dist.d == 2))
+        evaluate_bound(kind, params, exact_m=("exact_m" in BOUND_TABLE[kind].reads and cfg.dist.d == 2))
         for kind in cfg.kinds
     )
 
@@ -306,14 +309,16 @@ def _compare_bounds(
         bound = report.exceedance_bound()
         sigma = max(math.sqrt(bound * (1.0 - bound) / cfg.trials), 1.0 / cfg.trials)
         within = exceedance <= bound + 3.0 * sigma
-        enforced = _ENFORCED.get(kind) == cfg.dist.d and report.applicable
+        # A violated proven bound fails validity. A violated kind that reads
+        # the uncalibrated leading constant C2 is a finding instead.
+        enforced = BOUND_TABLE[kind].proven_d == cfg.dist.d and report.applicable
         note = ""
         if not within:
             if enforced:
                 note = "validity-check failure"
                 validity_ok = False
             else:
-                note = "C2 calibration finding" if kind in ("prop-r-delta", "cor-delta", "theorem") else "informational"
+                note = "C2 calibration finding" if "c2" in BOUND_TABLE[kind].reads else "informational"
             findings.append(
                 f"{kind} ({note}): empirical exceedance {exceedance:.6g} above bound {bound:.6g}"
             )

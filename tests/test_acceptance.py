@@ -12,10 +12,7 @@ from mpmath import mp, mpf, exp as mpexp, sqrt as mpsqrt, pi as mppi
 
 from halfdepth.bounds import (
     BoundParams,
-    bound_balanced_tail,
-    bound_bivariate_normal,
-    bound_free_params,
-    bound_parameter_free,
+    evaluate_bound,
     halfplane_subset_count,
     improvement_factor,
     regular_polygon,
@@ -89,7 +86,7 @@ def test_criterion_03_bivariate_bound_extended_precision():
     eps = mpf(1) / 20
     coefficient = 2 * mpsqrt(2 * mppi) * n ** mpf("1.5") + n + 2
     reference = 1 - coefficient * mpexp(4) * mpexp(-2 * n * eps ** 2)
-    got = bound_bivariate_normal(10 ** 4, 0.05)
+    got = evaluate_bound("bivariate", BoundParams(n=10 ** 4, eps=0.05)).value
     rel = abs(got - float(reference)) / abs(float(reference))
     _verdict(3, "bivariate closed form matches 50-digit recomputation",
              rel <= 1e-12, f"rel={rel:.3e}")
@@ -244,10 +241,10 @@ def test_criterion_09_substitution_identity_and_exponent():
             delta=float(rng.uniform(0.05, 2.0)),
         )
         r_sub = 2.0 * p.eps * math.sqrt(p.n) / (math.sqrt(p.lam) * (1.0 + p.delta))
-        v1 = bound_free_params(
-            BoundParams(**{**p.__dict__, "r": r_sub})
+        v1 = evaluate_bound(
+            "prop-r-delta", BoundParams(**{**p.__dict__, "r": r_sub})
         ).value
-        v2 = bound_balanced_tail(p).value
+        v2 = evaluate_bound("cor-delta", p).value
         rel = abs(v1 - v2) / max(1.0, abs(v1), abs(v2))
         worst = max(worst, rel)
     identity_ok = worst <= 1e-10

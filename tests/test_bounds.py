@@ -11,20 +11,13 @@ from hypothesis import strategies as st
 
 from halfdepth.bounds import (
     BOUND_KINDS,
+    BOUND_TABLE,
     BoundParams,
-    bound_balanced_tail,
-    bound_bivariate_normal,
-    bound_free_params,
-    bound_parameter_free,
-    dkw_bound,
     evaluate_bound,
     halfplane_subset_count,
     improvement_factor,
     regular_polygon,
     shatter_exact_2d,
-    shatter_upper,
-    vc_bound_double_sample,
-    vc_bound_squared_sample,
 )
 from halfdepth.experiments import run_bound_sweep
 from halfdepth.geometry import log_covering_count
@@ -45,17 +38,30 @@ def test_shatter_exact_2d_small_values():
 
 
 def test_shatter_upper_dominates_exact_2d():
-    # the 1.5 r^(d+1)/(d+1)! envelope takes over from r=4 on
-    for r in range(4, 200):
-        assert shatter_upper(r, 2) >= shatter_exact_2d(r) - 1e-9
+    # the 1.5 r^(d+1)/(d+1)! envelope takes over from r=4 on; vc1 counts
+    # at r = 2n and vc2 at r = n^2
+    for kind, n in (("vc1", np.arange(2, 100)), ("vc2", np.arange(2, 15))):
+        grid = BoundParams(n=n, eps=np.full(n.shape, 0.1), d=2)
+        upper = evaluate_bound(kind, grid).intermediates
+        exact = evaluate_bound(kind, grid, exact_m=True).intermediates
+        r = upper["shatter_argument"].astype(int).tolist()
+        assert exact["shatter_count"].tolist() == [shatter_exact_2d(v) for v in r]
+        assert (upper["shatter_count"] >= exact["shatter_count"] - 1e-9).all()
+
+
+def _shatter_upper(r: int, d: int) -> float:
+    """The generic shatter count that vc1 takes at r = 2n."""
+    inter = evaluate_bound("vc1", BoundParams(n=r // 2, eps=0.1, d=d)).intermediates
+    assert inter["shatter_argument"] == r
+    return inter["shatter_count"]
 
 
 def test_shatter_upper_formula():
     # 1.5 r^(d+1) / (d+1)!
-    assert shatter_upper(10, 2) == pytest.approx(1.5 * 1000 / 6.0, rel=1e-12)
-    assert shatter_upper(4, 3) == pytest.approx(1.5 * 256 / 24.0, rel=1e-12)
+    assert _shatter_upper(10, 2) == pytest.approx(1.5 * 1000 / 6.0, rel=1e-12)
+    assert _shatter_upper(4, 3) == pytest.approx(1.5 * 256 / 24.0, rel=1e-12)
     # stays finite for huge arguments thanks to log-space evaluation
-    big = shatter_upper(10 ** 8, 5)
+    big = _shatter_upper(10 ** 8, 5)
     assert math.isfinite(math.log(big)) or big == math.inf
 
 
@@ -102,18 +108,18 @@ def test_halfplane_subset_count_rejects_large_n():
 
 
 def test_dkw_bound_values():
-    assert dkw_bound(200, 0.1) == pytest.approx(2.0 * math.exp(-4.0), rel=1e-14)
-    assert dkw_bound(1, 0.0) == 2.0
+    value = evaluate_bound("dkw", BoundParams(n=200, eps=0.1, d=1)).value
+    assert value == pytest.approx(2.0 * math.exp(-4.0), rel=1e-14)
     with pytest.raises(ValueError):
-        dkw_bound(0, 0.1)
+        evaluate_bound("dkw", BoundParams(n=0, eps=0.1, d=1))
     with pytest.raises(ValueError):
-        dkw_bound(10, -0.1)
+        evaluate_bound("dkw", BoundParams(n=10, eps=-0.1, d=1))
 
 
 def test_vc_double_sample_formula():
     p = BoundParams(n=100, eps=0.2, d=2)
-    rep = vc_bound_double_sample(p)
-    expected = 4.0 * shatter_upper(200, 2) * math.exp(-100 * 0.04 / 8.0)
+    rep = evaluate_bound("vc1", p)
+    expected = 4.0 * (1.5 * 200 ** 3 / 6.0) * math.exp(-100 * 0.04 / 8.0)
     assert rep.value == pytest.approx(expected, rel=1e-12)
     assert rep.kind == "vc1"
     assert rep.bound_type == "deviation_upper"
@@ -121,16 +127,16 @@ def test_vc_double_sample_formula():
 
 def test_vc_squared_sample_formula():
     p = BoundParams(n=50, eps=0.3, d=2)
-    rep = vc_bound_squared_sample(p)
-    expected = 4.0 * shatter_upper(2500, 2) * math.exp(-2 * 50 * 0.09)
+    rep = evaluate_bound("vc2", p)
+    expected = 4.0 * (1.5 * 2500 ** 3 / 6.0) * math.exp(-2 * 50 * 0.09)
     assert rep.value == pytest.approx(expected, rel=1e-12)
     assert rep.kind == "vc2"
 
 
 def test_vc_exact_m_is_tighter_in_2d():
     p = BoundParams(n=400, eps=0.12, d=2)
-    loose = vc_bound_squared_sample(p)
-    tight = vc_bound_squared_sample(p, exact_m=True)
+    loose = evaluate_bound("vc2", p)
+    tight = evaluate_bound("vc2", p, exact_m=True)
     expected = 4.0 * shatter_exact_2d(400 ** 2) * math.exp(-2 * 400 * 0.12 ** 2)
     assert tight.value == pytest.approx(expected, rel=1e-12)
     assert tight.value < loose.value
@@ -139,12 +145,12 @@ def test_vc_exact_m_is_tighter_in_2d():
 def test_vc_exact_m_requires_d2():
     p = BoundParams(n=10, eps=0.5, d=3)
     with pytest.raises(ValueError):
-        vc_bound_squared_sample(p, exact_m=True)
+        evaluate_bound("vc2", p, exact_m=True)
 
 
 def test_vc_bounds_monotone_in_n():
     values = [
-        vc_bound_squared_sample(BoundParams(n=n, eps=0.15, d=2), exact_m=True).value
+        evaluate_bound("vc2", BoundParams(n=n, eps=0.15, d=2), exact_m=True).value
         for n in (200, 400, 800, 1600, 3200)
     ]
     # eventually decreasing once the exponential wins
@@ -152,9 +158,9 @@ def test_vc_bounds_monotone_in_n():
 
 
 def test_vc_bounds_stay_finite_at_extremes():
-    rep = vc_bound_squared_sample(BoundParams(n=10 ** 9, eps=1e-6, d=8))
+    rep = evaluate_bound("vc2", BoundParams(n=10 ** 9, eps=1e-6, d=8))
     assert math.isfinite(rep.value)
-    rep2 = vc_bound_double_sample(BoundParams(n=10 ** 9, eps=0.9, d=8))
+    rep2 = evaluate_bound("vc1", BoundParams(n=10 ** 9, eps=0.9, d=8))
     assert rep2.value == 0.0 or rep2.value > 0.0  # no NaN
 
 
@@ -172,7 +178,7 @@ def test_covering_count_scales_with_c2():
     # the covering route counts c2 times as many caps at its psi_eff
     base = BoundParams(n=1000, eps=0.1, d=3, r=2.0, delta=0.5)
     for c2 in (1.0, 2.5):
-        inter = bound_free_params(replace(base, c2=c2)).intermediates
+        inter = evaluate_bound("prop-r-delta", replace(base, c2=c2)).intermediates
         expected = c2 * math.exp(log_covering_count(3, inter["psi_eff"]))
         assert inter["cover_count"] == pytest.approx(expected, rel=1e-12)
 
@@ -199,14 +205,14 @@ def test_balanced_tail_equals_free_params_at_substituted_radius():
     for _ in range(200):
         p = _random_params(rng)
         r_sub = 2.0 * p.eps * math.sqrt(p.n) / (math.sqrt(p.lam) * (1.0 + p.delta))
-        a = bound_free_params(replace(p, r=r_sub)).value
-        b = bound_balanced_tail(p).value
+        a = evaluate_bound("prop-r-delta", replace(p, r=r_sub)).value
+        b = evaluate_bound("cor-delta", p).value
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
 
 def test_balanced_tail_penalties_share_one_exponential():
     p = BoundParams(n=5000, eps=0.08, d=3, delta=0.5)
-    rep = bound_balanced_tail(p)
+    rep = evaluate_bound("cor-delta", p)
     inter = rep.intermediates
     assert inter["exponent"] == pytest.approx(-2 * 5000 * 0.08 ** 2 / 1.5 ** 2, rel=1e-12)
     assert rep.value == pytest.approx(
@@ -217,15 +223,15 @@ def test_balanced_tail_penalties_share_one_exponential():
 def test_free_params_requires_r_and_delta():
     p = BoundParams(n=100, eps=0.1, d=2)
     with pytest.raises(ValueError):
-        bound_free_params(p)
+        evaluate_bound("prop-r-delta", p)
     with pytest.raises(ValueError):
-        bound_balanced_tail(p)
+        evaluate_bound("cor-delta", p)
 
 
 def test_free_params_precondition_flags():
     # enormous R pushes psi_eff below range but the value is still computed
     p = BoundParams(n=100, eps=0.1, d=2, r=0.5, delta=1.0)
-    rep = bound_free_params(p)
+    rep = evaluate_bound("prop-r-delta", p)
     assert not rep.applicable
     names = {pc.name: pc.satisfied for pc in rep.preconditions}
     assert names["tail_radius_above_one"] is False
@@ -236,8 +242,8 @@ def test_parameter_free_never_beats_balanced_at_matching_delta():
     rng = np.random.default_rng(271828)
     for _ in range(100):
         p = _random_params(rng)
-        theorem = bound_parameter_free(p)
-        strict = bound_balanced_tail(replace(p, delta=1.0 / p.n))
+        theorem = evaluate_bound("theorem", p)
+        strict = evaluate_bound("cor-delta", replace(p, delta=1.0 / p.n))
         assert theorem.value <= strict.value + 1e-12
         assert theorem.intermediates["strict_delta_value"] == pytest.approx(
             strict.value, rel=1e-12, abs=1e-300
@@ -246,21 +252,21 @@ def test_parameter_free_never_beats_balanced_at_matching_delta():
 
 def test_parameter_free_exponent_is_relaxed():
     p = BoundParams(n=1000, eps=0.1, d=2)
-    rep = bound_parameter_free(p)
+    rep = evaluate_bound("theorem", p)
     assert rep.intermediates["exponent"] == pytest.approx(4.0 - 2.0 * 1000 * 0.01, rel=1e-12)
     assert rep.intermediates["delta"] == pytest.approx(1e-3)
 
 
 def test_theorem_approaches_one_for_large_n():
     p = BoundParams(n=10 ** 6, eps=0.05, d=2)
-    rep = bound_parameter_free(p)
+    rep = evaluate_bound("theorem", p)
     assert rep.applicable
     assert 1.0 - rep.value < 1e-100
     assert not rep.vacuous
 
 
 def test_theorem_vacuous_for_small_n():
-    rep = bound_parameter_free(BoundParams(n=10, eps=0.1, d=2))
+    rep = evaluate_bound("theorem", BoundParams(n=10, eps=0.1, d=2))
     assert rep.vacuous
     assert rep.value < 0.0
     assert math.isfinite(rep.value)
@@ -275,16 +281,20 @@ def test_covering_route_beats_vc_route_coefficient():
 # ------------------------------------------------- sharp 2d / bivariate forms
 
 
+def _bivariate(n, eps) -> float:
+    return evaluate_bound("bivariate", BoundParams(n=n, eps=eps)).value
+
+
 def test_bivariate_reference_value():
     # 1 - (2 sqrt(2 pi) 10^6 + 10^4 + 2) e^4 e^-50
     coef = 2.0 * SQRT_2PI * 10 ** 6 + 10 ** 4 + 2.0
     expected = 1.0 - coef * math.exp(4.0 - 50.0)
-    assert bound_bivariate_normal(10 ** 4, 0.05) == pytest.approx(expected, rel=1e-14)
+    assert _bivariate(10 ** 4, 0.05) == pytest.approx(expected, rel=1e-14)
 
 
 def test_bivariate_vacuous_small_n():
-    assert bound_bivariate_normal(10, 0.05) < 0.0
-    assert math.isfinite(bound_bivariate_normal(1, 0.01))
+    assert _bivariate(10, 0.05) < 0.0
+    assert math.isfinite(_bivariate(1, 0.01))
 
 
 def test_sharp2d_theorem_matches_bivariate_closed_form():
@@ -292,8 +302,8 @@ def test_sharp2d_theorem_matches_bivariate_closed_form():
     for n in (50, 500, 5000, 50_000, 10 ** 4):
         for eps in (0.02, 0.05, 0.2):
             params = BoundParams.from_distribution(std, n=n, eps=eps)
-            rep = bound_parameter_free(params, sharp2d=True)
-            closed = bound_bivariate_normal(n, eps)
+            rep = evaluate_bound("theorem", params, sharp2d=True)
+            closed = _bivariate(n, eps)
             assert abs(rep.value - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
@@ -306,9 +316,9 @@ def test_bivariate_is_the_sharp2d_theorem_bit_for_bit():
         coef = 2.0 * SQRT_2PI * n ** 1.5 + n + 2.0
         eps = math.sqrt((math.log(coef) + 4.0 - rng.uniform(-30.0, 5.0)) / (2.0 * n))
         params = BoundParams(n=n, eps=min(eps, 1.0), d=2)
-        theorem = bound_parameter_free(params, sharp2d=True)
+        theorem = evaluate_bound("theorem", params, sharp2d=True)
         assert evaluate_bound("bivariate", params).value == theorem.value
-        assert bound_bivariate_normal(params.n, params.eps) == theorem.value
+        assert _bivariate(params.n, params.eps) == theorem.value
 
 
 def test_theorem_never_exceeds_its_strict_delta_value():
@@ -316,14 +326,14 @@ def test_theorem_never_exceeds_its_strict_delta_value():
     for _ in range(500):
         p = _random_params(rng)
         for sharp2d in (False, True) if p.d == 2 else (False,):
-            rep = bound_parameter_free(p, sharp2d=sharp2d)
+            rep = evaluate_bound("theorem", p, sharp2d=sharp2d)
             assert rep.value <= rep.intermediates["strict_delta_value"]
 
 
 def test_sharp2d_rejects_other_dimensions():
     p = BoundParams(n=100, eps=0.1, d=3)
     with pytest.raises(ValueError):
-        bound_parameter_free(p, sharp2d=True)
+        evaluate_bound("theorem", p, sharp2d=True)
 
 
 def test_improvement_factor_values():
@@ -549,8 +559,61 @@ def test_grid_validation_names_the_first_bad_point():
         BoundParams(n=np.array([5, 5, 0]), eps=np.array([0.1, 0.0, 0.1]))
     with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         BoundParams(n=np.array([5, 0, 5]), eps=np.array([0.1, 0.0, 2.0]))
+    # a fractional n would take vc2's shatter count at n^2 = 110.25
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 10.5$"):
+        BoundParams(n=np.array([5.0, 10.5, 0.5]), eps=np.array([0.1, 0.1, 0.0]))
+    for n in (10.5, True, np.array([True, False]), math.inf, np.array([5.0, math.nan])):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got (10.5|True|inf|nan)$"):
+            BoundParams(n=n, eps=np.full(np.shape(n), 0.1))
+    assert BoundParams(n=np.array([5.0, 10.0]), eps=np.array([0.1, 0.1])).n.tolist() == [5.0, 10.0]
     with pytest.raises(ValueError, match="one shape"):
         BoundParams(n=np.array([5, 6]), eps=0.1)
+
+
+# Each input that a kind may read, and a value other than the one that the
+# reports below start from; sharp2d is flipped instead.
+_INPUT_CHANGES = dict(
+    lam=0.7, c1=2.5, c2=3.0, lpi=0.3, ltheta=0.2, r=2.0, delta=0.25, sharp2d=None, exact_m=True,
+)
+
+
+@pytest.mark.parametrize("sharp2d", [False, True], ids=["generic", "sharp2d"])
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+def test_each_kind_reads_exactly_the_inputs_of_its_table_entry(kind, sharp2d):
+    # An input that the kind reads changes its report at some point of the
+    # grid; one that it does not read leaves every report as it was. With
+    # sharp2d, the covering kinds read neither c1 nor c2.
+    reads = BOUND_TABLE[kind].reads
+    if sharp2d and "sharp2d" in reads:
+        reads = reads - {"c1", "c2"}
+    points = [(n, eps) for n in (20, 500, 50_000) for eps in (0.03, 0.2, 0.9)]
+
+    def reports(**change):
+        inputs = dict(dict(r=3.0, delta=0.5, sharp2d=sharp2d, exact_m=False), **change)
+        flags = {key: inputs.pop(key) for key in ("sharp2d", "exact_m")}
+        out = []
+        for n, eps in points:
+            data = evaluate_bound(kind, BoundParams(n=n, eps=eps, d=2, **inputs), **flags).to_dict()
+            if flags["sharp2d"] and "C2" in data["intermediates"]:
+                # a covering report echoes c2, which sharp2d leaves unread
+                assert data["intermediates"].pop("C2") == inputs.get("c2", 1.0)
+            # json compares floats by their repr, so NaNs compare equal
+            out.append(json.dumps(data))
+        return out
+
+    base = reports()
+    read = {
+        name: reports(**{name: not sharp2d if name == "sharp2d" else value}) != base
+        for name, value in _INPUT_CHANGES.items()
+    }
+    assert read == {name: name in reads for name in _INPUT_CHANGES}
+
+
+def test_bound_table_lists_the_kinds_and_their_proven_dimensions():
+    assert tuple(BOUND_TABLE) == BOUND_KINDS
+    assert {kind: entry.proven_d for kind, entry in BOUND_TABLE.items()} == {
+        "vc1": 2, "vc2": 2, "dkw": 1, "prop-r-delta": None, "cor-delta": None, "theorem": None, "bivariate": None,
+    }
 
 
 def test_report_dict_shape():

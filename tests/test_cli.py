@@ -754,10 +754,12 @@ def test_d3_experiment_and_cover_leave_scipy_spatial_out(tmp_path):
         (2, "kinds", "dkw"),
         (2, "n", None),
         (2, "jobs", "two"),
+        (2, "n", 300.7),
+        (2, "eps", True),
     ],
     ids=[
         "no-queries-d3", "no-queries-d2", "flat-queries", "named-queries", "dist-number", "kinds-string",
-        "null-n", "named-jobs",
+        "null-n", "named-jobs", "fractional-n", "bool-eps",
     ],
 )
 def test_experiment_rejects_a_malformed_config_before_any_trial(capsys, tmp_path, monkeypatch, d, field, value):

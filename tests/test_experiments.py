@@ -126,6 +126,38 @@ def test_config_validation():
             ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 300.7, "n must be an integer, got 300.7"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("jobs", 2.5, "jobs must be an integer, got 2.5"),
+        ("n", math.inf, "n must be an integer, got inf"),
+        ("jobs", True, "jobs must be a number, got True"),
+        ("n", True, "n must be a number, got True"),
+        ("eps", True, "eps must be a number, got True"),
+        ("c2", False, "c2 must be a number, got False"),
+        ("psi", True, "psi must be a number, got True"),
+        ("delta", True, "delta must be a number, got True"),
+        ("r", False, "r must be a number, got False"),
+    ],
+)
+def test_config_refuses_a_fraction_in_a_count_and_a_bool_in_any_number(field, value, message):
+    data = {**ExperimentConfig(dist=standard_normal(2), n=30, eps=0.3, trials=4, seed=1).to_dict(), field: value}
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_dict(data)
+    assert exc.value.args == (message,)
+
+
+def test_config_takes_integral_floats_and_numeric_strings_as_before():
+    base = dict(dist=standard_normal(2), n=30, eps=0.3, trials=4, seed=1, jobs=2, c2=2.0)
+    data = {**ExperimentConfig(**base).to_dict(), "n": 30.0, "trials": "4", "seed": 1.0, "jobs": 2.0, "c2": 2}
+    cfg = ExperimentConfig.from_dict(data)
+    assert cfg == ExperimentConfig(**base)
+    assert [type(getattr(cfg, key)) for key in ("n", "trials", "seed", "jobs", "c2")] == [int] * 4 + [float]
+
+
 def test_effective_psi_default():
     dist = standard_normal(2)
     cfg = ExperimentConfig(dist=dist, n=10, eps=0.2, trials=1, seed=0)
