@@ -66,8 +66,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .geometry import _libm, log_covering_count, max_cover_radius
-from .population import SQRT_2PI, DistributionSpec
+from .geometry import _BOOLS, _libm, _number, log_covering_count, max_cover_radius
+from .population import _SPEC_RANGES, SQRT_2PI, DistributionSpec
 
 # exp() clamp: beyond this the penalty is astronomically vacuous anyway,
 # and clamping keeps sweep outputs finite and comparable.
@@ -76,6 +76,17 @@ _EXP_CLAMP = 700.0
 
 def _exp_clamped(z) -> np.ndarray:
     return _libm(math.exp, np.minimum(z, _EXP_CLAMP))
+
+
+def _grid(name: str, values, what: str) -> np.ndarray:
+    """values, one point or a grid of them, as an array; a bool raises a
+    ValueError saying that name must be what. An object array keeps each
+    bool a bool, where numpy would read one among numbers as 1 or 0."""
+    cells = np.asarray(values, dtype=object)
+    flat = cells.ravel().tolist()
+    if not _BOOLS.isdisjoint(map(type, flat)):
+        raise ValueError(f"{name} must be {what}, got {next(v for v in flat if type(v) in _BOOLS)}")
+    return np.asarray(flat).reshape(cells.shape)
 
 
 def _first(values, bad):
@@ -143,13 +154,15 @@ class BoundParams:
     """Inputs shared by the bound evaluators.
 
     n and eps are one point (an integer and a float) or a grid of points
-    (equal-shape arrays); the grid is validated once, and its first bad
-    point is named in the error. lam, c1 describe the radial tail envelope
+    (equal-shape arrays or lists, kept as arrays); the grid is validated
+    once, and its first bad point is named in the error, except that a bool
+    anywhere is refused first. lam, c1 describe the radial tail envelope
     c1 * R^(3d-5) * e^(-lam R^2/2); lpi bounds every projected density;
     ltheta the direction-Lipschitz constant of the projected CDF family; c2
     is the covering-count leading constant (default 1, uncalibrated, and
-    reported in every evaluation). r and delta are the free radius and
-    margin parameters where required.
+    reported in every evaluation that reads it). r and delta are the free
+    radius and margin parameters where required. d becomes an int and the
+    other fields floats, each checked by _number.
     """
 
     n: int | np.ndarray
@@ -164,11 +177,11 @@ class BoundParams:
     delta: float | None = None
 
     def __post_init__(self):
-        n, eps = np.asarray(self.n), np.asarray(self.eps)
+        n, eps = _grid("n", self.n, "an integer"), _grid("eps", self.eps, "a number")
         if n.shape != eps.shape:
             raise ValueError(f"n and eps must have one shape, got {n.shape} and {eps.shape}")
         with np.errstate(invalid="ignore"):  # inf % 1 is nan, so inf is no integer either
-            fractional = (n.dtype == bool) | (n % 1 != 0)
+            fractional = n % 1 != 0
         bad_n = fractional | (n < 1)
         bad = bad_n | ~((0.0 < eps) & (eps <= 1.0))
         if bad.any():
@@ -177,17 +190,12 @@ class BoundParams:
             if _first(bad_n, bad):
                 raise ValueError(f"n must be >= 1, got {_first(n, bad)}")
             raise ValueError(f"eps must be in (0, 1], got {_first(eps, bad)}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        for name in ("lam", "c1", "lpi", "c2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.ltheta < 0:
-            raise ValueError(f"ltheta must be nonnegative, got {self.ltheta}")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.r is not None and self.r <= 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        object.__setattr__(self, "n", n if n.ndim else n.item())
+        object.__setattr__(self, "eps", eps if eps.ndim else eps.item())
+        for name, within in _PARAM_RANGES.items():
+            value = getattr(self, name)
+            if value is not None or name not in ("r", "delta"):
+                object.__setattr__(self, name, _number(name, value, name == "d", within))
 
     @classmethod
     def from_distribution(cls, dist: DistributionSpec, n: int, eps: float, **kwargs) -> "BoundParams":
@@ -201,6 +209,10 @@ class BoundParams:
             ltheta=dist.ltheta,
             **kwargs,
         )
+
+
+# The range of each BoundParams field beyond n and eps; r and delta may be None.
+_PARAM_RANGES = {**_SPEC_RANGES, "c2": "positive", "r": "positive", "delta": "positive"}
 
 
 def _flat(params: BoundParams) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +410,9 @@ def _covering_route(params: BoundParams, delta, sharp2d: bool, r=None, relaxed: 
         log_tail_coef = math.log(params.c1) + _libm(math.log, n) + (3 * d - 5) * _libm(math.log, r)
     exponent = -2.0 * n * eps * eps / _libm(pow, 1.0 + delta, 2)
     tail_exponent = exponent if balanced else -params.lam * r * r / 2.0
-    inter = {"psi_eff": psi_eff, "cover_count": count, "C2": params.c2, "delta": delta}
+    inter = {"psi_eff": psi_eff, "cover_count": count, "delta": delta}
+    if not sharp2d:
+        inter["C2"] = params.c2
     if relaxed:
         inter["strict_delta_value"] = (
             1.0 - _exp_clamped(log_cover_coef + exponent) - _exp_clamped(log_tail_coef + exponent)

@@ -24,6 +24,7 @@ from .bounds import (
     shatter_exact_2d,
 )
 from .experiments import (
+    _CONFIG_NUMBERS,
     ExperimentConfig,
     run_bound_sweep,
     run_deviation_experiment,
@@ -168,12 +169,12 @@ def _parse_values(text: str, convert, name: str) -> list:
 
 
 # The flags of `bound` that a kind may or may not read, by the name of the
-# input in BOUND_TABLE (also the flag's dest); every kind reads --n, --eps
-# and --d.
-_BOUND_FLAGS = {
-    "lam": "--lambda", "c1": "--c1", "c2": "--c2", "lpi": "--lpi", "ltheta": "--ltheta",
-    "r": "--r", "delta": "--delta", "sharp2d": "--sharp-2d", "exact_m": "--exact-m",
+# input in BOUND_TABLE (also the flag's dest): the BoundParams fields, then
+# the two evaluate_bound switches. Every kind reads --n, --eps and --d.
+_PARAM_FLAGS = {
+    "lam": "--lambda", "c1": "--c1", "c2": "--c2", "lpi": "--lpi", "ltheta": "--ltheta", "r": "--r", "delta": "--delta",
 }
+_BOUND_FLAGS = {**_PARAM_FLAGS, "sharp2d": "--sharp-2d", "exact_m": "--exact-m"}
 
 
 def _refuse_unread_bound_flags(args) -> None:
@@ -190,32 +191,26 @@ def _refuse_unread_bound_flags(args) -> None:
 
 def cmd_bound(args) -> int:
     _refuse_unread_bound_flags(args)
-    constants = {key: getattr(args, key) for key in ("lam", "c1", "lpi", "ltheta", "c2")}
-    constants = {key: value for key, value in constants.items() if value is not None}
+    # the given BoundParams fields, as typed: BoundParams checks and converts them
+    fields = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
     n_values, eps_values = _parse_values(args.n, int, "n"), _parse_values(args.eps, float, "eps")
     if ".." in args.n or ".." in args.eps:
         rows = run_bound_sweep(
-            [args.kind], n_values, eps_values, args.d,
-            delta=args.delta, r=args.r, sharp2d=args.sharp2d, exact_m=args.exact_m,
-            **constants,
+            [args.kind], n_values, eps_values, args.d, sharp2d=args.sharp2d, exact_m=args.exact_m, **fields
         )
         _emit(sweep_rows_to_csv(rows), args.out)
         return 0
     (n,), (eps,) = n_values, eps_values
-    params = BoundParams(n=n, eps=eps, d=args.d, r=args.r, delta=args.delta, **constants)
+    params = BoundParams(n=n, eps=eps, d=args.d, **fields)
     report = evaluate_bound(args.kind, params, sharp2d=args.sharp2d, exact_m=args.exact_m)
     payload = report.to_dict()
     payload["params"] = {
         "n": n, "eps": eps, "d": args.d, "lambda": params.lam, "C1": params.c1,
-        "C2": params.c2, "Lpi": params.lpi, "Ltheta": params.ltheta, "R": args.r,
-        "delta": args.delta, "sharp2d": args.sharp2d, "exact_m": args.exact_m,
+        "C2": params.c2, "Lpi": params.lpi, "Ltheta": params.ltheta, "R": params.r,
+        "delta": params.delta, "sharp2d": args.sharp2d, "exact_m": args.exact_m,
     }
     _emit(payload, args.out)
     return 0
-
-
-# The experiment flags that write over the config field of the same name.
-_CONFIG_FLAGS = ("n", "eps", "trials", "seed", "psi", "jobs", "c2", "delta", "r")
 
 
 def cmd_experiment(args) -> int:
@@ -223,7 +218,7 @@ def cmd_experiment(args) -> int:
     if not isinstance(data, dict):
         raise ValueError(f"experiment config must be an object, got {data!r}")
     flags = vars(args)
-    data.update({key: flags[key] for key in _CONFIG_FLAGS if flags[key] is not None})
+    data.update({key: flags[key] for key, _ in _CONFIG_NUMBERS if flags[key] is not None})
     if args.dist_file:
         data["dist"] = json.loads(Path(args.dist_file).read_text())
     elif args.d is not None:
@@ -327,13 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", required=True, help="sample size, or a range a..b[..step]")
     p_bound.add_argument("--eps", required=True, help="deviation, or a range a..b[..step]")
     p_bound.add_argument("--d", type=int, default=2)
-    p_bound.add_argument("--lambda", dest="lam", type=float)
-    p_bound.add_argument("--c1", type=float)
-    p_bound.add_argument("--c2", type=float)
-    p_bound.add_argument("--lpi", type=float)
-    p_bound.add_argument("--ltheta", type=float)
-    p_bound.add_argument("--r", type=float)
-    p_bound.add_argument("--delta", type=float)
+    for dest, flag in _PARAM_FLAGS.items():
+        p_bound.add_argument(flag, dest=dest)
     p_bound.add_argument("--sharp-2d", dest="sharp2d", action="store_true",
                          help="planar specialization: exact circle cover and Gaussian tail")
     p_bound.add_argument("--exact-m", action="store_true",
@@ -350,16 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_dist = p_exp.add_mutually_exclusive_group()
     exp_dist.add_argument("--dist-file", help="population spec JSON file")
     exp_dist.add_argument("--d", type=int, help="dimension of a standard normal population")
-    p_exp.add_argument("--n", type=int)
-    p_exp.add_argument("--eps", type=float)
-    p_exp.add_argument("--trials", type=int)
-    p_exp.add_argument("--psi", type=float)
-    p_exp.add_argument("--seed", type=int)
+    for name, _ in _CONFIG_NUMBERS:
+        p_exp.add_argument(f"--{name}")  # the config checks and converts the value
     p_exp.add_argument("--kinds", help="comma-separated bound kinds to compare")
-    p_exp.add_argument("--jobs", type=int)
-    p_exp.add_argument("--c2", type=float)
-    p_exp.add_argument("--delta", type=float)
-    p_exp.add_argument("--r", type=float)
     p_exp.add_argument("--out-dir", required=True)
     p_exp.set_defaults(func=cmd_experiment)
 

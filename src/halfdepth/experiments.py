@@ -14,13 +14,13 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import BOUND_KINDS, BOUND_TABLE, BoundParams, BoundReport, evaluate_bound, improvement_factor
-from .geometry import SphericalCover, build_cover
+from .geometry import _number, build_cover
 from .population import DistributionSpec, population_depth
 from .sample_depth import Sample, _query_radii, depth_1d, depth_certified, depth_exact_2d_many, sup_deviation
 
@@ -61,8 +61,9 @@ class ExperimentConfig:
     nonempty list of d-coordinate points, kept as a tuple of tuples. kinds
     is a list or tuple of bound identifiers from BOUND_KINDS. psi may be
     omitted (None) for d=1, where no cover is involved; for d >= 2 a None
-    psi falls back to eps / (10 (ltheta + 2 sqrt(d) lpi)). A malformed
-    field raises a ValueError that names it, before any trial runs.
+    psi falls back to eps / (10 (ltheta + 2 sqrt(d) lpi)). The constructor
+    checks every field, so a config from from_dict or dataclasses.replace is
+    checked too: a malformed field raises a ValueError that names it.
     """
 
     dist: DistributionSpec
@@ -81,14 +82,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.dist, DistributionSpec):
             raise ValueError(f"dist must be a distribution object, got {self.dist!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (0.0 < self.eps <= 1.0):
-            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        for name, integer in _CONFIG_NUMBERS:
+            value = getattr(self, name)
+            if value is not None or name not in ("psi", "delta", "r"):
+                within = ">= 1" if name in ("trials", "jobs") else None
+                object.__setattr__(self, name, _number(name, value, integer, within))
+        self.bound_params()  # checks the ranges of n, eps, c2, delta and r
         if not isinstance(self.kinds, (list, tuple)):
             raise ValueError(f"kinds must be a list of bound kinds, got {self.kinds!r}")
         unknown = [k for k in self.kinds if k not in BOUND_KINDS]
@@ -108,60 +107,47 @@ class ExperimentConfig:
                 raise ValueError("every query must have finite coordinates")
             object.__setattr__(self, "queries", tuple(map(tuple, pts.tolist())))
 
+    def bound_params(self) -> BoundParams:
+        """The bound inputs: the law's constants, n, eps, c2, delta and r."""
+        return BoundParams.from_distribution(self.dist, self.n, self.eps, c2=self.c2, delta=self.delta, r=self.r)
+
     def effective_psi(self) -> float | None:
         if self.dist.d == 1:
             return None
         if self.psi is not None:
-            return float(self.psi)
+            return self.psi
         return self.eps / (10.0 * (self.dist.ltheta + 2.0 * math.sqrt(self.dist.d) * self.dist.lpi))
 
     def to_dict(self) -> dict:
+        """Every field, by name, in JSON types."""
         return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "dist": self.dist.to_dict(),
-            "n": self.n,
-            "eps": self.eps,
-            "trials": self.trials,
-            "seed": self.seed,
-            "psi": self.psi,
             "queries": "auto" if self.queries == "auto" else [list(rw) for rw in self.queries],
             "kinds": list(self.kinds),
-            "jobs": self.jobs,
-            "c2": self.c2,
-            "delta": self.delta,
-            "r": self.r,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        for key in ["dist"] + [name for name, _, default in _CONFIG_NUMBERS if default is ...]:
-            if key not in data:
-                raise ValueError(f"experiment config needs {key}")
-        dist = data["dist"]
-        if isinstance(dist, dict):
-            dist = DistributionSpec.from_dict(dist)
-        numbers = {}
-        for key, convert, default in _CONFIG_NUMBERS:
-            value = data.get(key, default)
-            if value is None and default is None:
-                numbers[key] = None
-                continue
-            # int() would truncate a fraction, and would take a bool for 0 or 1
-            if isinstance(value, bool):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-            if convert is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            try:
-                numbers[key] = convert(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be a number, got {value!r}") from None
-        return cls(dist=dist, queries=data.get("queries", "auto"), kinds=data.get("kinds", ()), **numbers)
+        """The config of a to_dict form; dist may be a spec dictionary. A
+        missing required key or an unknown one raises ValueError."""
+        names = tuple(f.name for f in fields(cls))
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"unknown experiment config keys {unknown}; expected ones of {names}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise ValueError(f"experiment config needs {f.name}")
+        if isinstance(data["dist"], dict):
+            data = {**data, "dist": DistributionSpec.from_dict(data["dist"])}
+        return cls(**data)
 
 
-# The numeric fields of a config object as (name, type, default). A field
-# with default ... is required; one with default None may be null.
+# The numeric fields of a config object as (name, integer). psi, delta and
+# r may be None.
 _CONFIG_NUMBERS = (
-    ("n", int, ...), ("eps", float, ...), ("trials", int, ...), ("seed", int, ...),
-    ("psi", float, None), ("jobs", int, 1), ("c2", float, 1.0), ("delta", float, None), ("r", float, None),
+    ("n", True), ("eps", False), ("trials", True), ("seed", True),
+    ("psi", False), ("jobs", True), ("c2", False), ("delta", False), ("r", False),
 )
 
 
@@ -290,9 +276,7 @@ def _run_trial(cfg, cover, queries, pop_depths, index) -> TrialResult:
 def _bound_reports(cfg: ExperimentConfig) -> tuple[BoundReport, ...]:
     """Evaluate each configured kind; raises before any trial runs when a
     kind cannot be evaluated for this configuration."""
-    params = BoundParams.from_distribution(
-        cfg.dist, cfg.n, cfg.eps, c2=cfg.c2, delta=cfg.delta, r=cfg.r
-    )
+    params = cfg.bound_params()
     return tuple(
         evaluate_bound(kind, params, exact_m=("exact_m" in BOUND_TABLE[kind].reads and cfg.dist.d == 2))
         for kind in cfg.kinds
@@ -394,8 +378,9 @@ def run_bound_sweep(
     r, delta); an omitted one takes the BoundParams default.
 
     The grid is one BoundParams over n-major arrays of every (n, eps)
-    point, validated once before any bound is evaluated, so a bad grid
-    value raises BoundParams' ValueError before the first row. Each kind is
+    point, with the values as given, validated once before any bound is
+    evaluated, so a bad grid value (a fraction or a bool in n, say) raises
+    BoundParams' ValueError before the first row. Each kind is
     one evaluate_bound call over the whole grid, and its rows are read off
     the report's arrays. Rows run kind-major, then n, then eps.
 
@@ -404,12 +389,14 @@ def run_bound_sweep(
     and theorem kinds) the coefficient improvement factor n^((d+7)/2)
     separating the two routes.
     """
-    n_values, eps_values = [int(n) for n in n_values], [float(eps) for eps in eps_values]
-    if not n_values or not eps_values:
+    if not len(n_values) or not len(eps_values):
         return []
+    # Object arrays keep every value as it was given, so that BoundParams
+    # refuses a bool among them.
+    n_values, eps_values = np.asarray(n_values, dtype=object), np.asarray(eps_values, dtype=object)
     params = BoundParams(
-        n=np.repeat(np.asarray(n_values), len(eps_values)),
-        eps=np.tile(np.asarray(eps_values), len(n_values)),
+        n=np.repeat(n_values, len(eps_values)),
+        eps=np.tile(eps_values, len(n_values)),
         d=d,
         **constants,
     )

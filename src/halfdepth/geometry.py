@@ -34,6 +34,33 @@ _RADIUS_ATOL = 1e-12
 # ValueError before any array is made.
 _MAX_COVER_CENTERS = 1_000_000
 
+# The ranges that _number checks, by the words of its message.
+_WITHIN = {">= 1": lambda x: x >= 1, "positive": lambda x: x > 0, "nonnegative": lambda x: x >= 0}
+
+# int() and float() read a bool as 1 or 0, so no number may be one.
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _number(name: str, value, integer: bool = False, within: str | None = None):
+    """value (a number, a numeric string or a numpy scalar) as an int if
+    integer, else a float, in the range _WITHIN[within]. Anything else, a
+    bool included, raises a ValueError that names the field."""
+    try:
+        if type(value) in _BOOLS:
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if integer:
+        if not number.is_integer():
+            raise ValueError(f"{name} must be an integer, got {number}")
+        # float() rounds an integer past 2^53; int() and Decimal keep every digit
+        number = int(Decimal(value)) if isinstance(value, str) else int(value)
+    if within is not None and not _WITHIN[within](number):
+        raise ValueError(f"{name} must be {within}, got {number}")
+    return number
+
+
 # Dot products of unit vectors can land just outside [-1, 1] after
 # floating-point rounding; clamp before arccos.
 def _safe_arccos(x):
@@ -67,7 +94,7 @@ class SphericalCover:
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("centers must be a nonempty (m, d) array")
         d = arr.shape[1]
-        psi = float(self.psi)
+        psi = _number("psi", self.psi)
         if not (0.0 < psi < max_cover_radius(d)):
             raise ValueError(
                 f"cover radius {psi} outside (0, arccos(d^-1/2)) = (0, {max_cover_radius(d):.6f}) for d={d}"
@@ -99,11 +126,11 @@ class SphericalCover:
             if key not in data:
                 raise ValueError(f"cover dictionary needs {key}")
         centers = np.asarray(data["centers"], dtype=float)
-        if "d" in data and centers.ndim == 2 and centers.shape[1] != int(data["d"]):
+        if "d" in data and centers.ndim == 2 and centers.shape[1] != data["d"]:
             raise ValueError(
                 f"cover dictionary says d={data['d']} but centers have {centers.shape[1]} coordinates"
             )
-        return cls(centers, float(data["psi"]))
+        return cls(centers, data["psi"])
 
 
 @dataclass(frozen=True)

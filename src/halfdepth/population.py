@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import _number
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Symmetry check tolerance for covariance input, absolute on entries
@@ -64,17 +66,12 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in ("standard_normal", "elliptical_normal"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        for name, within in _SPEC_RANGES.items():
+            object.__setattr__(self, name, _number(name, getattr(self, name), name == "d", within))
         if len(self.mu) != self.d:
             raise ValueError(f"mu has {len(self.mu)} coordinates, expected {self.d}")
         if len(self.sigma) != self.d or any(len(row) != self.d for row in self.sigma):
             raise ValueError(f"sigma must be {self.d}x{self.d}")
-        for name in ("lam", "c1", "lpi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.ltheta < 0:
-            raise ValueError(f"ltheta must be nonnegative, got {self.ltheta}")
 
     @property
     def mu_array(self) -> np.ndarray:
@@ -91,14 +88,8 @@ class DistributionSpec:
 
     def to_dict(self) -> dict:
         return {
-            "family": self.family,
-            "d": self.d,
-            "mu": list(self.mu),
-            "sigma": [list(row) for row in self.sigma],
-            "lambda": self.lam,
-            "C1": self.c1,
-            "Lpi": self.lpi,
-            "Ltheta": self.ltheta,
+            "family": self.family, "d": self.d, "mu": list(self.mu), "sigma": [list(row) for row in self.sigma],
+            **{key: getattr(self, field) for key, field in _CONSTANT_KEYS},
         }
 
     @classmethod
@@ -109,30 +100,26 @@ class DistributionSpec:
         for key in ("family", "d", "mu", "sigma") if family == "elliptical_normal" else ("family", "d"):
             if key not in data:
                 raise ValueError(f"distribution spec needs {key}")
-        d = int(data["d"])
         if family == "standard_normal":
-            base = standard_normal(d)
-            overrides = {}
-            for key, field in (("lambda", "lam"), ("C1", "c1"), ("Lpi", "lpi"), ("Ltheta", "ltheta")):
-                if key in data:
-                    overrides[field] = float(data[key])
-            return replace(base, **overrides) if overrides else base
-        if family == "elliptical_normal":
-            return elliptical_normal(
-                np.asarray(data["mu"], dtype=float),
-                np.asarray(data["sigma"], dtype=float),
-                lam=float(data["lambda"]) if "lambda" in data else None,
-                c1=float(data["C1"]) if "C1" in data else 1.0,
-                lpi=float(data["Lpi"]) if "Lpi" in data else None,
-                ltheta=float(data["Ltheta"]) if "Ltheta" in data else None,
-            )
-        raise ValueError(f"unknown family {family!r}")
+            dist = standard_normal(data["d"])
+        elif family == "elliptical_normal":
+            dist = elliptical_normal(data["mu"], data["sigma"])
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        # the constructor checks d against mu, and each given constant
+        return replace(dist, d=data["d"], **{field: data[key] for key, field in _CONSTANT_KEYS if key in data})
+
+
+# The range of each numeric DistributionSpec field, which BoundParams shares.
+_SPEC_RANGES = {"d": ">= 1", "lam": "positive", "c1": "positive", "lpi": "positive", "ltheta": "nonnegative"}
+
+# The constants of a spec dictionary, as (key, DistributionSpec field).
+_CONSTANT_KEYS = (("lambda", "lam"), ("C1", "c1"), ("Lpi", "lpi"), ("Ltheta", "ltheta"))
 
 
 def standard_normal(d: int) -> DistributionSpec:
     """Standard normal in dimension d: lam=1, Lpi=1/sqrt(2 pi), Ltheta=0."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _number("d", d, True)  # DistributionSpec checks its range
     eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
     return DistributionSpec(
         family="standard_normal",
@@ -197,10 +184,10 @@ def elliptical_normal(
         d=mu.shape[0],
         mu=tuple(mu),
         sigma=tuple(tuple(row) for row in sigma),
-        lam=float(lam),
-        c1=float(c1),
-        lpi=float(lpi),
-        ltheta=float(ltheta),
+        lam=lam,
+        c1=c1,
+        lpi=lpi,
+        ltheta=ltheta,
     )
 
 

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -776,6 +778,30 @@ def test_experiment_rejects_a_malformed_config_before_any_trial(capsys, tmp_path
     assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be")
     assert calls == []
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_experiment_refuses_an_unknown_config_key(capsys, tmp_path):
+    cfg = ExperimentConfig(dist=standard_normal(2), n=30, eps=0.3, trials=4, seed=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg.to_dict(), "jobz": 4}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: unknown experiment config keys ['jobz']; ")
+
+
+def test_each_numeric_config_field_has_exactly_one_experiment_flag(capsys, tmp_path):
+    # The numeric fields are read off the dataclass's annotations, apart from
+    # the table that makes the flags.
+    numeric = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type in ("int", "float", "float | None")]
+    assert [name for name, _ in expmod._CONFIG_NUMBERS] == numeric
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices["experiment"]._actions
+    for name in numeric:
+        assert [a.option_strings for a in actions if a.dest == name] == [[f"--{name}"]]
+    # each flag's value reaches the config's own check
+    code, _, err = run_cli(capsys, "experiment", "--d", "2", "--n", "300.7", "--eps", "0.2", "--trials", "2",
+                           "--seed", "1", "--out-dir", str(tmp_path))
+    assert (code, err) == (1, "error: n must be an integer, got 300.7\n")
 
 
 def test_experiment_rejects_a_config_that_is_not_an_object(capsys, tmp_path):

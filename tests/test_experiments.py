@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfdepth.experiments as expmod
 from halfdepth.bounds import BOUND_KINDS, BoundParams, evaluate_bound, improvement_factor
@@ -126,6 +129,20 @@ def test_config_validation():
             ExperimentConfig.from_dict(data)
 
 
+_CONFIG_BASE = dict(dist=standard_normal(2), n=30, eps=0.3, trials=4, seed=1)
+
+# The three ways to make a config with field set to value: each must reach
+# the constructor's checks.
+_BUILDS = {
+    "direct": lambda field, value: ExperimentConfig(**{**_CONFIG_BASE, field: value}),
+    "from_dict": lambda field, value: ExperimentConfig.from_dict(
+        {**ExperimentConfig(**_CONFIG_BASE).to_dict(), field: value}
+    ),
+    "replace": lambda field, value: replace(ExperimentConfig(**_CONFIG_BASE), **{field: value}),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDS)
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -141,13 +158,57 @@ def test_config_validation():
         ("psi", True, "psi must be a number, got True"),
         ("delta", True, "delta must be a number, got True"),
         ("r", False, "r must be a number, got False"),
+        ("c2", -1, "c2 must be positive, got -1.0"),
     ],
 )
-def test_config_refuses_a_fraction_in_a_count_and_a_bool_in_any_number(field, value, message):
-    data = {**ExperimentConfig(dist=standard_normal(2), n=30, eps=0.3, trials=4, seed=1).to_dict(), field: value}
+def test_config_refuses_a_fraction_in_a_count_and_a_bool_in_any_number(build, field, value, message):
     with pytest.raises(ValueError) as exc:
-        ExperimentConfig.from_dict(data)
+        _BUILDS[build](field, value)
     assert exc.value.args == (message,)
+
+
+def test_config_refuses_an_unknown_key():
+    data = {**ExperimentConfig(**_CONFIG_BASE).to_dict(), "jobz": 4}
+    with pytest.raises(ValueError, match=r"^unknown experiment config keys \['jobz'\]; expected ones of \('dist', "):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_dict_keys_are_the_fields():
+    cfg = ExperimentConfig(**_CONFIG_BASE)
+    assert list(cfg.to_dict()) == [f.name for f in fields(ExperimentConfig)]
+
+
+# (name, integer) of each numeric field, read off the annotations
+_NUMERIC_FIELDS = [
+    (f.name, f.type == "int") for f in fields(ExperimentConfig) if f.type in ("int", "float", "float | None")
+]
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | st.sampled_from(
+    ["3", "-2", "0.25", "2.5", "1e3", "inf", "nan", "two", ""]
+)
+
+
+@settings(max_examples=400)
+@given(field=st.sampled_from(_NUMERIC_FIELDS), value=_JSON_SCALARS)
+def test_config_takes_a_json_scalar_or_refuses_it_naming_the_field(field, value):
+    # The CLI turns a ValueError into an error: line, and anything else into
+    # a traceback, so no JSON scalar in a numeric field may raise anything
+    # else.
+    (name, integer) = field
+    try:
+        cfg = ExperimentConfig.from_dict({**ExperimentConfig(**_CONFIG_BASE).to_dict(), name: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"{name} must be"), exc
+        return
+    got = getattr(cfg, name)
+    if value is None:
+        assert got is None and name in ("psi", "delta", "r")
+        return
+    assert not isinstance(value, bool)
+    assert type(got) is (int if integer else float)
+    # a string is read as a number; any other value keeps its own
+    got, want = (float(got), float(value)) if isinstance(value, str) else (got, type(got)(value))
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_config_takes_integral_floats_and_numeric_strings_as_before():

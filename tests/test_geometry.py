@@ -88,9 +88,11 @@ def test_cover_dict_round_trip():
     back = SphericalCover.from_dict(data)
     assert back.psi == cover.psi
     np.testing.assert_array_equal(back.centers, cover.centers)
-    data["d"] = 3
-    with pytest.raises(ValueError):
-        SphericalCover.from_dict(data)
+    for d in (3, 2.5):
+        with pytest.raises(ValueError, match=f"^cover dictionary says d={d} but centers have 2 coordinates$"):
+            SphericalCover.from_dict({**data, "d": d})
+    with pytest.raises(ValueError, match="^psi must be a number, got True$"):
+        SphericalCover.from_dict({**data, "psi": True})
 
 
 def test_cover_check_dict_uses_pass_key():

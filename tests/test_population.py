@@ -41,6 +41,19 @@ def test_spec_dict_round_trip():
     assert set(data) == {"family", "d", "mu", "sigma", "lambda", "C1", "Lpi", "Ltheta"}
     back = DistributionSpec.from_dict(data)
     assert back == dist
+    # int() and float() would take d=2.5 for 2 and a bool for 1; both
+    # families refuse them, and a spec's d must match its mu.
+    for spec in (data, standard_normal(2).to_dict()):
+        for key, value, message in (
+            ("d", 2.5, "d must be an integer, got 2.5"),
+            ("d", True, "d must be a number, got True"),
+            ("lambda", True, "lam must be a number, got True"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                DistributionSpec.from_dict({**spec, key: value})
+            assert exc.value.args == (message,)
+    with pytest.raises(ValueError, match="^mu has 2 coordinates, expected 3$"):
+        DistributionSpec.from_dict({**data, "d": 3})
 
 
 def test_elliptical_rejects_bad_covariance():
