@@ -147,11 +147,18 @@ def cmd_cover(args) -> int:
 
 def _parse_values(text: str, convert, name: str) -> list:
     """One value, or the range a..b[..step] from a to b inclusive; the
-    default step is a tenth of the range (for n, at least 1)."""
+    default step is a tenth of the range (for n, at least 1). One value
+    that convert refuses but float reads (300.7, inf) is passed on as a
+    float, so that BoundParams's check names what is wrong with it."""
     try:
         values = [convert(part) for part in text.split("..")]
     except ValueError:
         values = []
+        if ".." not in text:
+            try:
+                values = [float(text)]
+            except ValueError:
+                pass
     if len(values) == 1:
         return values
     if len(values) not in (2, 3):

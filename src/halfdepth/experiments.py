@@ -61,9 +61,10 @@ class ExperimentConfig:
     nonempty list of d-coordinate points, kept as a tuple of tuples. kinds
     is a list or tuple of bound identifiers from BOUND_KINDS. psi may be
     omitted (None) for d=1, where no cover is involved; for d >= 2 a None
-    psi falls back to eps / (10 (ltheta + 2 sqrt(d) lpi)). The constructor
-    checks every field, so a config from from_dict or dataclasses.replace is
-    checked too: a malformed field raises a ValueError that names it.
+    psi falls back to eps / (10 (ltheta + 2 sqrt(d) lpi)). A given psi must
+    be positive in any d. The constructor checks every field, so a config
+    from from_dict or dataclasses.replace is checked too: a malformed field
+    raises a ValueError that names it.
     """
 
     dist: DistributionSpec
@@ -85,8 +86,7 @@ class ExperimentConfig:
         for name, integer in _CONFIG_NUMBERS:
             value = getattr(self, name)
             if value is not None or name not in ("psi", "delta", "r"):
-                within = ">= 1" if name in ("trials", "jobs") else None
-                object.__setattr__(self, name, _number(name, value, integer, within))
+                object.__setattr__(self, name, _number(name, value, integer, _CONFIG_RANGES.get(name)))
         self.bound_params()  # checks the ranges of n, eps, c2, delta and r
         if not isinstance(self.kinds, (list, tuple)):
             raise ValueError(f"kinds must be a list of bound kinds, got {self.kinds!r}")
@@ -149,6 +149,10 @@ _CONFIG_NUMBERS = (
     ("n", True), ("eps", False), ("trials", True), ("seed", True),
     ("psi", False), ("jobs", True), ("c2", False), ("delta", False), ("r", False),
 )
+
+# The ranges the config checks itself; BoundParams checks those of n, eps,
+# c2, delta and r, and build_cover psi's upper end, which depends on d.
+_CONFIG_RANGES = {"trials": ">= 1", "jobs": ">= 1", "psi": "positive"}
 
 
 @dataclass(frozen=True)

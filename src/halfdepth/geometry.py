@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
@@ -84,10 +84,19 @@ class SphericalCover:
     elsewhere is checked by ``verify_cover``: exactly from the convex hull
     of the centers (``cover_radius``) for d <= 4, statistically by sampled
     directions above that.
+
+    mirror is the number h of leading centers whose exact negations are
+    the next h centers, centers[h:2h] == -centers[:h], with h = m // 2; it
+    is 0 when they are not (any d=2 cover from build_cover, or shuffled
+    centers). Every build_cover cover in d >= 3 is such a mirror [H; -H],
+    and a loaded one keeps it, since the constructor finds it. Projections
+    multiply and sort only ``unmirrored``, H and any unpaired rest, and
+    take each -c row as the exact negation of its c row.
     """
 
     centers: np.ndarray
     psi: float
+    mirror: int = field(default=0, init=False)
 
     def __post_init__(self):
         arr = np.array(self.centers, dtype=float)
@@ -104,8 +113,10 @@ class SphericalCover:
         if bad.size:
             raise ValueError(f"center {bad[0]} has norm {norms[bad[0]]!r}, expected 1")
         arr.setflags(write=False)
+        half = len(arr) // 2
         object.__setattr__(self, "centers", arr)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "mirror", half if half and np.array_equal(arr[half:2 * half], -arr[:half]) else 0)
 
     @property
     def d(self) -> int:
@@ -114,6 +125,14 @@ class SphericalCover:
     @property
     def n_centers(self) -> int:
         return int(self.centers.shape[0])
+
+    @property
+    def unmirrored(self) -> np.ndarray:
+        """The centers a projection computes: the first mirror centers and
+        the unpaired rest after their negations (every center when mirror
+        is 0)."""
+        h = self.mirror
+        return np.concatenate((self.centers[:h], self.centers[2 * h:])) if h else self.centers
 
     def to_dict(self) -> dict:
         return {"d": self.d, "psi": self.psi, "centers": self.centers.tolist()}
@@ -296,16 +315,24 @@ def build_cover(
     h = (pi - 2 psi') / B span [psi', pi - psi']. The band [a, b] gets
     one ring at colatitude c = arccos(cos psi' (sin b - sin a) / sin h),
     which makes both band edges equally hard, holding k >= 2 equally
-    spaced centers from longitude 0, with
-    k = max over t in {a, b} of ceil(pi / w(t)) and
+    spaced centers, with k = max over t in {a, b} of ceil(pi / w(t)) and
     w(t) = arccos((cos psi' - cos t cos c) / (sin t sin c)), the widest
     longitude half-angle that keeps colatitude t within psi' of the
-    center. Each center's cell [a, b] x [-pi/k, pi/k] is farthest from it
-    at a corner: the angle to the center grows with |longitude|, and on
-    the edge meridian the cosine of that angle is A cos t + beta sin t
-    with beta = sin c cos(pi/k) >= 0, which has no interior minimum on
-    [0, pi]. Every corner lies within psi' by the choice of k, so no hull
-    is computed (72, 162 and 640 centers at psi = 0.3, 0.2 and 0.1).
+    center. Each center's cell [a, b] x [-pi/k, pi/k] about its longitude
+    is farthest from it at a corner: the angle to the center grows with
+    |longitude|, and on the edge meridian the cosine of that angle is
+    A cos t + beta sin t with beta = sin c cos(pi/k) >= 0, which has no
+    interior minimum on [0, pi]. Every corner lies within psi' by the
+    choice of k, so no hull is computed. The proof holds band by band and
+    does not change under rotation about the axis, so the southern half
+    is the exact negation of the northern one: the band mirrored about
+    the equator, [pi - b, pi - a], has its ring at colatitude pi - c with
+    the same k, at longitudes shifted by pi. When B is odd, the middle
+    band is its own mirror; its k is rounded up to an even number, so its
+    first k/2 centers and their negations make the whole ring. The cover
+    is [H; -H], H the north pole, the northern rings from longitude 0 and
+    half the middle ring (72, 162 and 640 centers at psi = 0.3, 0.2 and
+    0.1).
 
     d>=4 uses the cell-centred k^(d-1) grid on each of the 2d faces of the
     cube [-1, 1]^d, normalised: 2d k^(d-1) centers, with
@@ -313,7 +340,11 @@ def build_cover(
     with largest coordinate |u_j|, the point u/|u_j| lies on a face, within
     sqrt(d-1)/k of a cell centre; both lie on a hyperplane at distance 1
     from the origin, so their angle is at most 2 arctan(sqrt(d-1)/(2k)),
-    which k keeps under psi - 1e-12.
+    which k keeps under psi - 1e-12. The d faces with a +1 coordinate come
+    first, then their exact negations, the faces with a -1 coordinate.
+
+    Every cover in d >= 3 is thus an exact mirror, recorded in its
+    ``mirror``, which halves the projections of a sample onto it.
 
     No construction consumes randomness. A psi whose cover would need more
     than _MAX_COVER_CENTERS centers raises ValueError before any array is
@@ -358,17 +389,21 @@ def _check_size(d: int, psi: float, count: int | float) -> None:
 
 
 def _cube_face_grid(d: int, side: int) -> np.ndarray:
-    """Cell centres (2i+1)/side - 1 of every face of [-1, 1]^d, normalised."""
+    """Cell centres (2i+1)/side - 1 of every face of [-1, 1]^d, normalised:
+    the d faces with a +1 coordinate, then their exact negations."""
     ticks = (2.0 * np.arange(side) + 1.0) / side - 1.0
     face = np.stack(np.meshgrid(*([ticks] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
-    pts = np.vstack([np.insert(face, j, sign, axis=1) for j in range(d) for sign in (1.0, -1.0)])
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
+    half = np.vstack([np.insert(face, j, 1.0, axis=1) for j in range(d)])
+    half /= np.linalg.norm(half, axis=1)[:, None]
+    return np.vstack([half, -half])
 
 
 def _zonal_cover(psi: float) -> np.ndarray:
-    """Centers of the d=3 zonal cover, north to south: the two poles and,
-    per band, k equally spaced centers on one ring, starting at longitude 0.
-    build_cover documents the construction and its proof."""
+    """Centers of the d=3 zonal cover, [H; -H]: H holds the north pole,
+    then per northern band k equally spaced centers on one ring from
+    longitude 0, then, when the band count is odd, the first half of the
+    middle ring, whose k is even. build_cover documents the construction
+    and its proof."""
     # Fewer than 2/(1 - cos psi) caps of radius psi cannot cover the sphere's
     # area, which bounds the number of bands before they are formed.
     _check_size(3, psi, math.ceil(2.0 / (1.0 - math.cos(psi))))
@@ -377,18 +412,20 @@ def _zonal_cover(psi: float) -> np.ndarray:
     bands = math.ceil(span / (math.sqrt(2.0) * radius))
     height = span / bands
     rings = []
-    for j in range(bands):
+    for j in range((bands + 1) // 2):
         a, b = radius + j * height, radius + (j + 1) * height
         c = math.acos(math.cos(radius) * (math.sin(b) - math.sin(a)) / math.sin(height))
         # the widest longitude half-angle that keeps the corner at colatitude t within radius
         widths = [math.acos((math.cos(radius) - math.cos(t) * math.cos(c)) / (math.sin(t) * math.sin(c)))
                   for t in (a, b)]
-        rings.append((c, max(2, *(math.ceil(math.pi / w) for w in widths))))
-    _check_size(3, psi, 2 + sum(k for _, k in rings))
+        k = max(2, *(math.ceil(math.pi / w) for w in widths))
+        middle = 2 * j + 1 == bands
+        rings.append((c, k + k % 2 if middle else k, middle))
+    _check_size(3, psi, 2 + sum(k if middle else 2 * k for _, k, middle in rings))
     parts = [np.array([[0.0, 0.0, 1.0]])]
-    for c, k in rings:
-        lon = 2.0 * math.pi * np.arange(k) / k
-        ring = [math.sin(c) * np.cos(lon), math.sin(c) * np.sin(lon), np.full(k, math.cos(c))]
+    for c, k, middle in rings:
+        lon = 2.0 * math.pi * np.arange(k // 2 if middle else k) / k
+        ring = [math.sin(c) * np.cos(lon), math.sin(c) * np.sin(lon), np.full(lon.size, math.cos(c))]
         parts.append(np.column_stack(ring))
-    parts.append(np.array([[0.0, 0.0, -1.0]]))
-    return np.vstack(parts)
+    half = np.vstack(parts)
+    return np.vstack([half, -half])

@@ -35,13 +35,6 @@ def _phi(x):
     return ndtr(x)
 
 
-def _phi_inverse(p):
-    """Standard normal quantile (ndtri): -inf at 0, +inf at 1."""
-    from scipy.special import ndtri
-
-    return ndtri(p)
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """A population the harness can sample from and score against.

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import SphericalCover
-from .population import DistributionSpec, _phi, _phi_inverse, _standardised
+from .population import DistributionSpec, _phi, _standardised
 
 # Boundary membership is decided up to TIE_RTOL * R_q, R_q = max_i |x_i - q|
 # the spread of the sample about the query, so that ties do not depend on
@@ -114,10 +114,13 @@ class Sample:
         Returns (cover, columns, keys, template, offsets). columns is the
         (d, n) transpose of the points, rows contiguous. keys is flat: row
         j of its (m, n) form holds j + 1j * z, z the sorted projections
-        (x - x0).c_j about x0 = points[0]. numpy orders complex numbers by
-        real part and then imaginary part, so the flat keys are sorted, and
-        one searchsorted of j + 1j * t counts, for any set of centers j in
-        one call, the points with (x - x0).c_j <= t; offsets = n * arange(m)
+        (x - x0).c_j about x0 = points[0]. Only the cover's unmirrored
+        centers are multiplied and sorted: for a mirrored cover the row of
+        -c_j, h = cover.mirror rows below c_j's, is c_j's row negated and
+        reversed, exactly. numpy orders complex numbers by real part and
+        then imaginary part, so the flat keys are sorted, and one
+        searchsorted of j + 1j * t counts, for any set of centers j in one
+        call, the points with (x - x0).c_j <= t; offsets = n * arange(m)
         takes the earlier rows back off, and keys.imag[k + offsets] gathers
         every center's (k+1)-th smallest projection. template is a (2, m)
         complex array with real parts 0..m-1, for a query's two threshold
@@ -127,12 +130,14 @@ class Sample:
         kept = self._kept
         if kept is not None and kept[0] is cover:
             return kept
-        m, n = cover.centers.shape[0], self.n
-        z = cover.centers @ (self.points - self.points[0]).T
+        m, n, h = cover.centers.shape[0], self.n, cover.mirror
+        z = cover.unmirrored @ (self.points - self.points[0]).T
         z.sort(axis=1)
         keys = np.empty((m, n), dtype=complex)
         keys.real = np.arange(m)[:, None]
-        keys.imag = z
+        keys.imag[:h] = z[:h]
+        np.negative(z[:h, ::-1], out=keys.imag[h:2 * h])
+        keys.imag[2 * h:] = z[h:]
         template = np.zeros((2, m), dtype=complex)
         template.real = np.arange(m)
         columns, offsets = np.ascontiguousarray(self.points.T), n * np.arange(m)
@@ -236,31 +241,48 @@ def _planar_depth_counts(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
     below an antipode counts as antipodal, outside it.
     """
     b, n = y0.shape
-    norms = np.sqrt(y0 * y0 + y1 * y1)
+    # In-place arithmetic and del of dead temporaries keep few (B, n)
+    # arrays alive at once. With more, a trial's heap top crossed glibc's
+    # trim threshold, was returned, and was faulted back in on every call.
+    norms = y0 * y0
+    norms += y1 * y1
+    np.sqrt(norms, out=norms)
     coincident = norms <= TIE_RTOL * norms.max(axis=1, keepdims=True)
+    del norms
     live = n - np.count_nonzero(coincident, axis=1)
     # Row b holds its live angles in [0, 2 pi], sorted, then its coincident
     # points parked at 4 pi, past every search key.
     angles = np.arctan2(y1, y0)
-    angles = np.where(coincident, 2.0 * TWO_PI, np.where(angles < 0, angles + TWO_PI, angles))
+    np.add(angles, TWO_PI, out=angles, where=angles < 0)
+    angles[coincident] = 2.0 * TWO_PI
+    del coincident
     angles.sort(axis=1)
     ends = angles + (math.pi - TIE_ANGLE)
     wrapped = ends >= TWO_PI
-    ends = np.where(wrapped, ends - TWO_PI, ends)
+    np.subtract(ends, TWO_PI, out=ends, where=wrapped)
     inside = np.empty((b, n), dtype=np.intp)
     for row, key, found in zip(angles, ends, inside):
         found[:] = np.searchsorted(row, key, side="left")
+    del ends
     # A tie run starts where the gap to the previous angle exceeds
     # TIE_ANGLE; the first angle's previous one is the last live angle,
     # less 2 pi. A run that crosses the seam starts at the last run's
     # start, less live. Window i runs from its run's start to ends[i], so
     # it holds inside - starts points, plus live if it wraps past 2 pi.
-    rows, column = np.arange(b), np.arange(n)
-    previous = np.concatenate([angles[rows, live - 1, None] - TWO_PI, angles[:, :-1]], axis=1)
-    starts = np.maximum.accumulate(np.where(angles - previous > TIE_ANGLE, column, -1), axis=1)
-    starts = np.where(starts < 0, starts[rows, live - 1, None] - live[:, None], starts)
-    counts = inside - starts + live[:, None] * wrapped
-    return n - np.where(column < live[:, None], counts, 0).max(axis=1)
+    rows, column, last = np.arange(b), np.arange(n), live[:, None] - 1
+    gaps = np.empty_like(angles)
+    gaps[:, 0] = angles[rows, live - 1] - TWO_PI
+    gaps[:, 1:] = angles[:, :-1]
+    np.subtract(angles, gaps, out=gaps)
+    starts = np.where(gaps > TIE_ANGLE, column, -1)
+    del angles, gaps
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    np.copyto(starts, np.take_along_axis(starts, last, axis=1) - live[:, None], where=starts < 0)
+    inside -= starts
+    del starts
+    np.add(inside, live[:, None], out=inside, where=wrapped)
+    np.copyto(inside, 0, where=column > last)
+    return n - inside.max(axis=1)
 
 
 def depth_exact_2d_many(queries, sample: Sample) -> np.ndarray:
@@ -373,10 +395,8 @@ def depth_brute(q, sample: Sample) -> DepthValue:
 
 _EPS = float(np.finfo(float).eps)
 
-# Both pruned extrema start from an exact bound over every
-# _BOUND_STRIDE-th direction: sup_deviation's lower bound is the KS over
-# those directions, and _certified_counts's upper bound is the count
-# minimum over those centers.
+# _certified_counts's pruned minimum starts from an exact upper bound, the
+# count minimum over every _BOUND_STRIDE-th center.
 _BOUND_STRIDE = 8
 
 
@@ -499,48 +519,17 @@ def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
     cdf_values = np.asarray(cdf_values, dtype=float).reshape(-1)
     if values.shape != cdf_values.shape or values.size == 0:
         raise ValueError("values and cdf_values must be equal-length nonempty arrays")
-    return float(_ks_per_column(cdf_values[np.argsort(values)][:, None])[0])
+    f = cdf_values[np.argsort(values)]
+    return _ks_max(f, f)
 
 
-def _ks_per_column(f: np.ndarray) -> np.ndarray:
-    """KS statistic of each column of f, the CDF at the sorted sample (n, m).
-
-    f is overwritten. Working in place keeps the large temporaries to
-    one; each fresh one costs page faults on every call.
-    """
-    n = f.shape[0]
-    return _ks_terms(f, np.arange(1, n + 1, dtype=float)[:, None], n).max(axis=0)
-
-
-def _ks_terms(f: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
-    """The larger KS term max(F - (i-1)/n, i/n - F) of each entry of f.
-
-    f holds the CDF at order statistics of a sample of n, and i (a column)
-    their 1-based ranks. f is overwritten.
-    """
-    below = f - (i - 1.0) / n
-    above = np.subtract(i / n, f, out=f)
-    return np.maximum(below, above, out=below)
-
-
-# Probability margin of the rank thresholds, far above the rounding of
-# ndtr and ndtri.
-_KS_MARGIN = 1e-9
-
-
-def _ks_rank_thresholds(n: int, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Standardised values past which rank i's KS terms can exceed bound.
-
-    With L' = bound - _KS_MARGIN, F(u) - (i-1)/n > bound needs
-    u > Phi^-1((i-1)/n + L') = high[i-1], and i/n - F(u) > bound needs
-    u < Phi^-1(i/n - L') = low[i-1]. The arguments are clipped to [0, 1],
-    so a term that cannot exceed the bound at any u gets +inf or -inf.
-    """
+def _ks_max(high: np.ndarray, low: np.ndarray) -> float:
+    """max over ranks i of max(high_i - (i-1)/n, i/n - low_i), for two
+    length-n arrays of CDF values at rank i's largest and smallest
+    projections (the same array for one set of order statistics)."""
+    n = high.size
     i = np.arange(1, n + 1, dtype=float)
-    margin = bound - _KS_MARGIN
-    high = _phi_inverse(np.clip((i - 1.0) / n + margin, 0.0, 1.0))
-    low = _phi_inverse(np.clip(i / n - margin, 0.0, 1.0))
-    return high, low
+    return float(np.maximum((high - (i - 1.0) / n).max(), (i / n - low).max()))
 
 
 def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover | None) -> float:
@@ -552,32 +541,38 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     directions; the gap is controlled by the cover radius and the
     distribution's Lipschitz constants.
 
-    Phi is evaluated only where a term can beat a lower bound L, the exact
-    KS over every 8th direction. With u the sorted projections standardised
-    by each direction's moments (the argument of Phi in
-    `cdf_projected_many`) and L' = L - 1e-9, rank i's terms
-    F(u) - (i-1)/n and i/n - F(u) can exceed L only if
-    u > Phi^-1((i-1)/n + L') or u < Phi^-1(i/n - L'), with the arguments
-    clipped to [0, 1]. The 1e-9 margin is far above the rounding of ndtr
-    and ndtri. Only the ranks with an entry past either threshold are
-    scored. The winning term is always among the terms computed, so the
-    result is the maximum over all n*m terms bit for bit.
+    It is taken from per-rank extremes. Sort each direction's projections
+    and standardise them (u, the argument of Phi in `cdf_projected_many`):
+    direction j's KS terms at rank i are Phi(u_ij) - (i-1)/n and
+    i/n - Phi(u_ij), and Phi is monotone, so the largest over j are
+    Phi(max_j u_ij) - (i-1)/n and i/n - Phi(min_j u_ij). One sort of the
+    (n, m) projections, one row maximum and minimum and 2n values of Phi
+    give the maximum over all n*m terms. Only the cover's unmirrored
+    centers are projected: a mirrored direction -c has projections -z_c,
+    location -loc_c and the scale of c, so its rank i standardised value
+    is -u at c's rank n + 1 - i, and its extremes at rank i are the
+    negated, reversed extremes of the mirrored half. scipy's ndtr is
+    monotone only up to its last ulp or two, so where two directions put
+    the same rank within a few ulps of each other, the result may differ
+    in its last bits from Phi evaluated at all n*m projections.
     """
     if sample.dim != dist.d:
         raise ValueError(f"sample has dimension {sample.dim}, distribution has {dist.d}")
     if sample.dim == 1:
-        centers = np.array([[1.0]])
+        centers, h = np.array([[1.0]]), 0
     elif cover is None:
         raise ValueError(f"a cover is required for d={sample.dim}")
     elif cover.d != sample.dim:
         raise ValueError(f"cover has dimension {cover.d}, sample has {sample.dim}")
     else:
-        centers = cover.centers
+        centers, h = cover.unmirrored, cover.mirror
     z = sample.points @ centers.T
     z.sort(axis=0)
     u = _standardised(dist, centers, z)
+    high, low = u.max(axis=1), u.min(axis=1)
+    if h:
+        top, bottom = (high, low) if h == u.shape[1] else (u[:, :h].max(axis=1), u[:, :h].min(axis=1))
+        high, low = np.maximum(high, -bottom[::-1]), np.minimum(low, -top[::-1])
     n = sample.n
-    bound = float(_ks_per_column(_phi(u[:, ::_BOUND_STRIDE])).max())
-    high, low = _ks_rank_thresholds(n, bound)
-    rows = np.flatnonzero((u.max(axis=1) > high) | (u.min(axis=1) < low))
-    return float(_ks_terms(_phi(u[rows]), rows[:, None] + 1.0, n).max(initial=bound))
+    f = _phi(np.concatenate((high, low)))
+    return _ks_max(f[:n], f[n:])

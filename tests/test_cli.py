@@ -514,6 +514,22 @@ def test_bound_sweep_bad_spec(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("300.7", "n must be an integer, got 300.7"),
+        ("inf", "n must be an integer, got inf"),
+        ("0", "n must be >= 1, got 0"),
+        ("m=1", "--n 'm=1' must be a number or a range a..b[..step]"),
+    ],
+)
+def test_bound_passes_one_n_on_to_its_params_check(capsys, n, message):
+    # A single value reaches BoundParams, which names a fraction as the
+    # experiment command's config does; only a non-number fails the parse.
+    code, out, err = run_cli(capsys, "bound", "--kind", "dkw", "--n", n, "--eps", "0.1", "--d", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_bound_sweep_bad_grid_value_writes_nothing(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--kind", "dkw", "--n", "300", "--eps", "0..0.5",
@@ -778,6 +794,15 @@ def test_experiment_rejects_a_malformed_config_before_any_trial(capsys, tmp_path
     assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be")
     assert calls == []
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_experiment_refuses_a_psi_that_is_not_positive_even_where_no_cover_reads_it(capsys, tmp_path):
+    # At d=1 no cover is built, so only the config's own check sees psi.
+    for psi in ("-5", "0"):
+        code, out, err = run_cli(capsys, "experiment", "--d", "1", "--n", "30", "--eps", "0.2", "--trials", "2",
+                                 "--seed", "1", "--psi", psi, "--out-dir", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", f"error: psi must be positive, got {float(psi)}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_experiment_refuses_an_unknown_config_key(capsys, tmp_path):

@@ -159,6 +159,8 @@ _BUILDS = {
         ("delta", True, "delta must be a number, got True"),
         ("r", False, "r must be a number, got False"),
         ("c2", -1, "c2 must be positive, got -1.0"),
+        ("psi", -5, "psi must be positive, got -5.0"),
+        ("psi", 0.0, "psi must be positive, got 0.0"),
     ],
 )
 def test_config_refuses_a_fraction_in_a_count_and_a_bool_in_any_number(build, field, value, message):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfdepth.geometry as geometry
+from halfdepth.cli import _load_cover, main
 from halfdepth.geometry import (
     CoverCheck,
     SphericalCover,
@@ -157,21 +158,27 @@ def test_build_cover_3d_zonal_counts():
 
 def _rings(centers):
     """(colatitude, longitudes) of each ring of a zonal cover, north to
-    south, and the number of poles."""
+    south, and the number of poles. The middle ring's halves, at heights
+    within rounding of 0 and of opposite signs, are one ring; a ring's
+    colatitude is that of its first center."""
     z = centers[:, 2]
     poles = np.abs(z) == 1.0
+    level = np.round(z, 12)
     rings = []
-    for zc in np.unique(z[~poles])[::-1]:
-        ring = centers[z == zc]
-        rings.append((math.acos(zc), np.arctan2(ring[:, 1], ring[:, 0])))
+    for zc in np.unique(level[~poles])[::-1]:
+        ring = centers[~poles & (level == zc)]
+        rings.append((math.acos(ring[0, 2]), np.arctan2(ring[:, 1], ring[:, 0])))
     return rings, int(poles.sum())
 
 
 @pytest.mark.parametrize("psi", [0.05, 0.1, 0.2, 0.3, 0.6, 0.95])
 def test_build_cover_3d_cell_corners_within_psi(psi):
     # The closed form: B bands of height h span [psi', pi - psi'], and every
-    # corner of a ring's cells (band edge, +-pi/k) lies within psi' of the
-    # ring's center at longitude 0, which bounds the whole cell.
+    # corner of a ring's cells (band edge, +-pi/k about a center) lies
+    # within psi' of the center, which bounds the whole cell. A northern
+    # ring starts at longitude 0 and a southern one, the antipodes of its
+    # northern twin, at pi; the middle ring of an odd B has an even k, so
+    # its centers and their antipodes are one ring from longitude 0.
     radius = psi - 1e-12
     bands = math.ceil((math.pi - 2.0 * radius) / (math.sqrt(2.0) * radius))
     height = (math.pi - 2.0 * radius) / bands
@@ -180,10 +187,50 @@ def test_build_cover_3d_cell_corners_within_psi(psi):
     for j, (c, lon) in enumerate(rings):
         k = lon.size
         assert k >= 2
-        np.testing.assert_allclose(np.sort(np.mod(lon, 2.0 * math.pi)), 2.0 * math.pi * np.arange(k) / k, atol=1e-12)
+        if 2 * j + 1 == bands:
+            assert k % 2 == 0
+        start = math.pi if 2 * j + 1 > bands else 0.0
+        turned = np.mod(lon - start + 1e-9, 2.0 * math.pi) - 1e-9
+        np.testing.assert_allclose(np.sort(turned), 2.0 * math.pi * np.arange(k) / k, atol=1e-12)
         for t in (radius + j * height, radius + (j + 1) * height):
             corner = math.cos(t) * math.cos(c) + math.sin(t) * math.sin(c) * math.cos(math.pi / k)
             assert math.acos(min(corner, 1.0)) <= radius
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([3, 4, 5]), fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_build_cover_is_an_exact_mirror_in_d3_and_above(d, fraction):
+    # psi from 0.05 (d=3), 0.15 (d=4) or 0.3 (d=5) up to the largest admissible.
+    low = {3: 0.05, 4: 0.15, 5: 0.3}[d]
+    psi = low + fraction * (max_cover_radius(d) - low)
+    cover = build_cover(d, psi)
+    h = cover.n_centers // 2
+    assert cover.n_centers == 2 * h and cover.mirror == h
+    assert np.array_equal(cover.centers[h:], -cover.centers[:h])
+    assert np.array_equal(cover.unmirrored, cover.centers[:h])
+
+
+def test_a_mirrored_cover_loaded_from_a_file_keeps_its_mirror(tmp_path):
+    path = tmp_path / "cover.json"
+    assert main(["cover", "--d", "3", "--psi", "0.2", "--out", str(path)]) == 0
+    cover, built = _load_cover(str(path)), build_cover(3, 0.2)
+    assert cover.mirror == built.mirror == 81
+    assert np.array_equal(cover.centers, built.centers)
+
+
+def test_shuffled_or_extended_centers_record_what_they_mirror():
+    centers = build_cover(3, 0.2).centers
+    shuffled = SphericalCover(np.random.default_rng(3).permutation(centers), 0.2)
+    assert shuffled.mirror == 0 and shuffled.unmirrored is shuffled.centers
+    # one unpaired center after the mirror: h = m // 2 still pairs
+    extended = SphericalCover(np.vstack([centers, [[0.0, 0.6, 0.8]]]), 0.2)
+    assert extended.mirror == 81
+    assert np.array_equal(extended.unmirrored, np.vstack([centers[:81], [[0.0, 0.6, 0.8]]]))
+    # the circle cover at an odd count, and a near-mirror off by one ulp
+    assert build_cover(2, 0.02).mirror == 0
+    near = centers.copy()
+    near[100, 0] = np.nextafter(near[100, 0], 2.0)
+    assert SphericalCover(near, 0.2).mirror == 0
 
 
 @given(st.floats(min_value=0.05, max_value=math.acos(3 ** -0.5), exclude_max=True))
@@ -236,7 +283,7 @@ def test_build_cover_high_d_needs_more_centers():
 @settings(max_examples=30)
 @given(st.floats(min_value=0.15, max_value=1.04))
 def test_build_cover_4d_exact_radius_within_psi(psi):
-    assert cover_radius(build_cover(4, psi).centers) <= psi
+    assert cover_radius(build_cover(4, psi).centers) <= psi - 1e-12
 
 
 @pytest.mark.parametrize("d, psi", [(5, 0.5), (6, 0.6)])

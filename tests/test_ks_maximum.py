@@ -1,8 +1,10 @@
-"""sup_deviation's pruned KS maximum against the plain formula.
+"""sup_deviation's KS maximum from per-rank extremes against the plain formula.
 
-sup_deviation evaluates Phi only at the ranks whose projections can beat a
-lower bound. The reference here evaluates the projected CDF at every one
-of the n*m sorted projections and takes every column's KS statistic; the
+sup_deviation evaluates Phi only at each rank's largest and smallest
+standardised projection, and projects only the unmirrored half of a
+mirrored cover. The reference here evaluates the projected CDF at every
+one of the n*m sorted projections, the -c columns built as exact
+negations of the c columns, and takes every column's KS statistic; the
 two must agree exactly, not approximately.
 """
 
@@ -15,28 +17,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfdepth.experiments import draw_sample, split_seed
-from halfdepth.geometry import build_cover
+from halfdepth.geometry import SphericalCover, build_cover
 from halfdepth.population import cdf_projected_many, elliptical_normal, standard_normal
-from halfdepth.sample_depth import Sample, _ks_per_column, sup_deviation
+from halfdepth.sample_depth import Sample, sup_deviation
 
 ELLIPTICAL = {
     1: elliptical_normal([2.0], [[3.0]]),
     2: elliptical_normal([1.5, -2.0], [[2.0, 0.7], [0.7, 0.5]]),
     3: elliptical_normal([1.0, 0.0, -3.0], [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.4]]),
+    4: elliptical_normal([0.5, -1.0, 2.0, 0.0], np.diag([3.0, 1.0, 0.5, 2.0]) + 0.2),
 }
 
 
 @lru_cache(maxsize=None)
 def cover_for(d):
-    """The harness covers: psi=0.02 in the plane (159 centers), psi=0.2 in d=3."""
-    return build_cover(d, 0.02 if d == 2 else 0.2)
+    """The harness covers: psi=0.02 in the plane (159 centers), psi=0.2 in d=3
+    (162 centers, a mirror); in d=4 the mirrored 512 centers at psi=0.5."""
+    return build_cover(d, {2: 0.02, 3: 0.2, 4: 0.5}[d])
 
 
 def reference(sample, dist, cover):
-    """The full (n, m) CDF matrix at the sorted projections, then its largest KS."""
+    """The full (n, m) CDF matrix at the sorted projections, then its largest
+    KS. The projections onto -c are the exact negations of those onto c,
+    and the moments of -c come from its own row of the centers."""
     centers = np.array([[1.0]]) if sample.dim == 1 else cover.centers
-    z = np.sort(sample.points @ centers.T, axis=0)
-    return float(_ks_per_column(cdf_projected_many(dist, centers, z)).max())
+    h = 0 if sample.dim == 1 else cover.mirror
+    z = sample.points @ centers.T
+    z[:, h:2 * h] = -z[:, :h]
+    z.sort(axis=0)
+    f = cdf_projected_many(dist, centers, z)
+    n = sample.n
+    i = np.arange(1, n + 1, dtype=float)[:, None]
+    return float(np.maximum(f - (i - 1.0) / n, i / n - f).max())
 
 
 def make_sample(d, dist, n, kind, seed):
@@ -50,7 +62,7 @@ def make_sample(d, dist, n, kind, seed):
     if kind == "gaussian":
         return sample
     # About 40 sigma off the mean: Phi saturates at 0 or 1 in most
-    # directions, and the thresholds reach +-inf.
+    # directions.
     shift = rng.standard_normal(d)
     shift *= 40.0 * np.sqrt(np.max(dist.sigma_array)) / np.linalg.norm(shift)
     return Sample(sample.points + shift)
@@ -58,7 +70,7 @@ def make_sample(d, dist, n, kind, seed):
 
 @settings(max_examples=150)
 @given(
-    d=st.sampled_from([1, 2, 3]),
+    d=st.sampled_from([1, 2, 3, 4]),
     family=st.sampled_from(["standard_normal", "elliptical_normal"]),
     n=st.sampled_from([1, 2, 3, 50, 300]),
     kind=st.sampled_from(["gaussian", "grid", "shifted"]),
@@ -69,6 +81,25 @@ def test_sup_deviation_equals_the_full_maximum(d, family, n, kind, seed):
     cover = cover_for(d) if d > 1 else None
     sample = make_sample(d, dist, n, kind, seed)
     assert sup_deviation(sample, dist, cover) == reference(sample, dist, cover)
+
+
+@pytest.mark.parametrize("shape", ["mirror", "mirror-and-rest", "shuffled"])
+@pytest.mark.parametrize("family", ["standard_normal", "elliptical_normal"])
+def test_sup_deviation_equals_the_full_maximum_on_every_cover_shape(shape, family):
+    # The d=3 harness cover, the same with one unpaired center after its
+    # mirror, and its centers shuffled, which records no mirror.
+    dist = standard_normal(3) if family == "standard_normal" else ELLIPTICAL[3]
+    centers = cover_for(3).centers
+    if shape == "mirror-and-rest":
+        centers = np.vstack([centers, [[0.6, 0.0, 0.8]]])
+    elif shape == "shuffled":
+        centers = np.random.default_rng(5).permutation(centers)
+    cover = SphericalCover(centers, 0.2)
+    assert cover.mirror == {"mirror": 81, "mirror-and-rest": 81, "shuffled": 0}[shape]
+    for k in range(30):
+        for kind in ("gaussian", "grid", "shifted"):
+            sample = make_sample(3, dist, (1, 2, 50, 300)[k % 4], kind, split_seed(78, k))
+            assert sup_deviation(sample, dist, cover) == reference(sample, dist, cover)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -84,6 +115,7 @@ def test_sup_deviation_equals_the_full_maximum_on_harness_samples(d, family):
 
 def test_sup_deviation_evaluates_phi_at_few_projections(monkeypatch):
     # The benchmark's d=2 case: n=300 against the 159 directions at psi=0.02.
+    # Phi is evaluated once, at each rank's largest and smallest projection.
     dist = standard_normal(2)
     cover = cover_for(2)
     sample = draw_sample(dist, 300, np.random.default_rng(split_seed(4242, 0)))
@@ -97,4 +129,4 @@ def test_sup_deviation_evaluates_phi_at_few_projections(monkeypatch):
 
     monkeypatch.setattr(scipy.special, "ndtr", counting_ndtr)
     assert sup_deviation(sample, dist, cover) == want
-    assert 0 < sum(evaluated) <= sample.n * cover.centers.shape[0] / 4
+    assert evaluated == [2 * sample.n]

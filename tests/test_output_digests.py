@@ -52,7 +52,10 @@ def _config(case: str) -> ExperimentConfig:
 # them; the d=4 digests were taken before the certified minimum was pruned,
 # which kept them too. The d=3 results.csv and summary.json were re-pinned
 # when the d=3 cover became zonal rings (162 centers at psi=0.2, against
-# 187 for the Fibonacci lattice before).
+# 187 for the Fibonacci lattice before), and again when its southern half
+# became the exact negation of its northern half (southern rings at
+# longitudes shifted by pi), which moved sup_deviation and some interval
+# midpoints; the d=4 cover kept its digests through the same change.
 DIGESTS = {
     "d1": {
         "results.csv": "96090bab26f95b015d5aa21b7d778baf872a2493b11117ae29b45698ff1f5607",
@@ -70,13 +73,13 @@ DIGESTS = {
         "plotdata.csv": "d9cf9e88c17f402f4dbde634b495e90405b439d9ee299a0adfb17ff3ddef32f9",
     },
     "d3-jobs1": {
-        "results.csv": "5673777649af37dd02ed82858df343652ff03e047a29922b27449c7d3495f888",
-        "summary.json": "20b97e9d4a9a435c85e18d4f6fa50262eca105a8a052bc68c4ba90127be9cb8d",
+        "results.csv": "554ae095cd5eca5fc9820d058e82ea72dfab07e2ebd690bc47d06f775854c91e",
+        "summary.json": "3253852c2b6de7a090b632fcc91e3772f12284d0dc968cbaac61f38d8da1341c",
         "plotdata.csv": "da4a0b84bd498debcc48f7319c501e57d8bc2acff830c144fea5982cb03639ef",
     },
     "d3-jobs2": {
-        "results.csv": "5673777649af37dd02ed82858df343652ff03e047a29922b27449c7d3495f888",
-        "summary.json": "afbc15b94a96ccaa098845f3673816151cd9adac3a9cff5b67d488e6af9784f1",
+        "results.csv": "554ae095cd5eca5fc9820d058e82ea72dfab07e2ebd690bc47d06f775854c91e",
+        "summary.json": "2ecf524707e2e755c1dc1b47deb9849eb8fbc5177c98d4ee52477fdfa6bf8a6e",
         "plotdata.csv": "da4a0b84bd498debcc48f7319c501e57d8bc2acff830c144fea5982cb03639ef",
     },
     "d4-jobs1": {

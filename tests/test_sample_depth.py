@@ -372,6 +372,24 @@ def test_depth_certified_3d_contains_brute():
                 assert lo <= depth_brute(q, s).count <= up
 
 
+@pytest.mark.parametrize("d, psi", [(3, 0.1), (4, 0.5)])
+def test_shuffled_centers_record_no_mirror_and_their_intervals_contain_brute(d, psi):
+    # The centers of a mirrored cover, shuffled, record no mirror, so every
+    # projection is multiplied; each interval still holds the exact depth.
+    # Integer grids put projections on the thresholds.
+    rng = np.random.default_rng(31 + d)
+    mirrored = build_cover(d, psi)
+    shuffled = SphericalCover(rng.permutation(mirrored.centers), psi)
+    assert mirrored.mirror == mirrored.n_centers // 2 and shuffled.mirror == 0
+    for grid in (False, True):
+        for _ in range(8):
+            pts, qs = _grid_or_normal(rng, int(rng.integers(5, 12)), d, grid)
+            s = Sample(pts)
+            lower, upper, _ = depth_certified_many(qs, s, shuffled)
+            for q, lo, up in zip(qs, lower, upper):
+                assert lo <= depth_brute(q, s).count <= up
+
+
 @pytest.mark.parametrize("grid", [False, True], ids=["normal", "integer-grid"])
 def test_depth_certified_4d_contains_brute(grid):
     # The cube-face cover of d=4; on the integer grid, repeated rows and
@@ -549,12 +567,27 @@ def test_certified_many_on_an_empty_block_returns_empty_arrays(d, data):
 def test_kept_keys_equal_a_plain_row_sort(d, data):
     pts, _ = _kernel_case(d, data)
     s = Sample(pts)
-    for cover in _kernel_covers(d):
+    # Only the unmirrored centers are multiplied and sorted: their rows
+    # equal a plain row sort, and each mirrored row is its twin negated and
+    # reversed, bit for bit. Every build_cover cover in d >= 3 is a mirror;
+    # the first one is also taken shuffled (no mirror) and with one
+    # unpaired center after its mirror.
+    first = _kernel_covers(d)[0]
+    extra = np.zeros((1, d))
+    extra[0, 0] = 1.0
+    shapes = (
+        SphericalCover(np.random.default_rng(d).permutation(first.centers), first.psi),
+        SphericalCover(np.vstack([first.centers, extra]), first.psi),
+    )
+    for cover, h in [(c, c.n_centers // 2) for c in _kernel_covers(d)] + [(shapes[0], 0), (shapes[1], first.mirror)]:
         _, columns, keys, template, offsets = s._projection(cover)
         m = cover.centers.shape[0]
-        plain = np.sort(cover.centers @ (s.points - s.points[0]).T, axis=1)
+        assert cover.mirror == h
+        plain = np.sort(cover.unmirrored @ (s.points - s.points[0]).T, axis=1)
         keys = keys.reshape(m, s.n)
-        assert np.array_equal(keys.imag.view(np.uint64), plain.view(np.uint64))
+        assert np.array_equal(keys.imag[:h].view(np.uint64), plain[:h].view(np.uint64))
+        assert np.array_equal(keys.imag[h:2 * h].view(np.uint64), (-plain[:h, ::-1]).view(np.uint64))
+        assert np.array_equal(keys.imag[2 * h:].view(np.uint64), plain[h:].view(np.uint64))
         assert (keys.real == np.arange(m)[:, None]).all()
         assert np.array_equal(columns, s.points.T) and columns.flags.c_contiguous
         assert (template.real == np.arange(m)).all() and template.shape == (2, m)
