@@ -5,17 +5,21 @@ an elliptical Gaussian reduces to that case through an affine whitening
 map. Each distribution also carries the constants that drive the
 deviation bounds: a radial tail decay rate, a projected-density bound,
 and a direction-Lipschitz bound for the projected CDF family.
+
+The normal CDF is _ndtr, Cephes' ndtr in Python floats and bit for bit
+scipy.special.ndtr, so no depth or experiment loads scipy; _phi maps it
+over an array, and _phi_interpolated is a cheap table bracket of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import _number
+from .geometry import _libm, _number
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -24,15 +28,91 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SYMMETRY_RTOL = 1e-10
 
 
-def _phi(x):
-    """Standard normal CDF via the complementary error function (ndtr).
+_SQRT1_2 = 0.70710678118654752440
+# Cephes' MAXLOG, ln(DBL_MAX): erfc underflows to 0 past exp(-MAXLOG).
+_MAXLOG = 7.09782712893383996843e2
 
-    scipy.special is imported here, its only user, so that the bounds, the
-    cover and the sample-depth methods start without scipy.
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF at one float: Cephes' ndtr in Python floats.
+
+    It is the same function as scipy.special.ndtr, bit for bit, because it
+    makes the same IEEE operations in the same order and its one
+    transcendental, math.exp, is libm's exp, which Cephes calls too. With
+    x = a/sqrt(2) and z = |x|: below z = 1 it is 0.5 + 0.5 erf(x) with erf
+    from T/U; from 1 up it is 0.5 erfc(z), or 1 less that for x > 0, with
+    erfc(z) = exp(-z^2) P(z)/Q(z) below 8 and exp(-z^2) R(z)/S(z) from 8
+    up, and 0 once z^2 > MAXLOG (|a| > 37.677). (Cephes' ndtr switches at
+    z = 1/sqrt(2), and its erfc takes 1 - erf(z) below z = 1; on [1/sqrt(2),
+    1) both forms round to the same double, so one switch suffices.) nan
+    gives nan.
     """
-    from scipy.special import ndtr
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        s = x * x
+        return 0.5 + 0.5 * (x * ((((9.60497373987051638749e0 * s + 9.00260197203842689217e1) * s
+                                   + 2.23200534594684319226e3) * s + 7.00332514112805075473e3) * s
+                                 + 5.55923013010394962768e4)
+                            / (((((s + 3.35617141647503099647e1) * s + 5.21357949780152679795e2) * s
+                                 + 4.59432382970980127987e3) * s + 2.26290000613890934246e4) * s
+                               + 4.92673942608635921086e4))
+    w = -z * z
+    if w < -_MAXLOG:
+        y = 0.0
+    elif z < 8.0:
+        y = 0.5 * (math.exp(w) * ((((((((2.46196981473530512524e-10 * z + 5.64189564831068821977e-1) * z
+                                         + 7.46321056442269912687e0) * z + 4.86371970985681366614e1) * z
+                                       + 1.96520832956077098242e2) * z + 5.26445194995477358631e2) * z
+                                     + 9.34528527171957607540e2) * z + 1.02755188689515710272e3) * z
+                                   + 5.57535335369399327526e2)
+                   / ((((((((z + 1.32281951154744992508e1) * z + 8.67072140885989742329e1) * z
+                           + 3.54937778887819891062e2) * z + 9.75708501743205489753e2) * z
+                         + 1.82390916687909736289e3) * z + 2.24633760818710981792e3) * z
+                       + 1.65666309194161350182e3) * z + 5.57535340817727675546e2))
+    else:
+        y = 0.5 * (math.exp(w) * (((((5.64189583547755073984e-1 * z + 1.27536670759978104416e0) * z
+                                     + 5.01905042251180477414e0) * z + 6.16021097993053585195e0) * z
+                                   + 7.40974269950448939160e0) * z + 2.97886665372100240670e0)
+                   / ((((((z + 2.26052863220117276590e0) * z + 9.39603524938001434673e0) * z
+                         + 1.20489539808096656605e1) * z + 1.70814450747565897222e1) * z
+                       + 9.60896809063285878198e0) * z + 3.36907645100081516050e0))
+    return 1.0 - y if x > 0 else y
 
-    return ndtr(x)
+
+def _phi(x) -> np.ndarray:
+    """The standard normal CDF at every element of x, as a float array of
+    x's shape (0-d for a scalar): _ndtr through geometry._libm."""
+    return _libm(_ndtr, x)
+
+
+# The linear interpolant of Phi on [-9, 9] at step h = 1/64 (1,153 nodes),
+# which sup_deviation scores its KS terms with before it takes _ndtr at the
+# few that can win. Phi'' = -t phi(t) is largest in size at t = 1, so
+# between nodes the interpolant of Phi is off by at most
+# h^2/8 phi(1) < 7.39e-6; outside [-9, 9] it is an end node, off by at
+# most Phi(-9) < 1.2e-19. The 1e-12 absorbs the nodes' roundings, _ndtr's
+# own error and np.interp's arithmetic, each below 1e-15. At this step
+# sorted arguments a few hundredths apart fall in the cell np.interp
+# guesses first; at h = 1/256 it bisected, and on fresh data cost twice
+# as much, while the harness's n = 300 still takes exact Phi at one rank
+# pair, rarely two or three.
+_TABLE_STEP = 1.0 / 64.0
+_TABLE_NODES = np.arange(-576, 577) * _TABLE_STEP
+_TABLE_MARGIN = _TABLE_STEP * _TABLE_STEP / 8.0 * math.exp(-0.5) / SQRT_2PI + 1e-12
+
+
+@cache
+def _phi_table() -> np.ndarray:
+    """_ndtr at _TABLE_NODES, computed once per process on first use."""
+    table = _phi(_TABLE_NODES)
+    table.setflags(write=False)
+    return table
+
+
+def _phi_interpolated(x) -> np.ndarray:
+    """The table's interpolant of Phi at x, within _TABLE_MARGIN of _ndtr."""
+    return np.interp(x, _TABLE_NODES, _phi_table())
 
 
 @dataclass(frozen=True)
@@ -258,7 +338,8 @@ def _standardised(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray)
 
 
 def cdf_projected_many(dist: DistributionSpec, directions: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized projected CDF: directions (m, d), t (..., m) -> same shape as t."""
+    """Projected CDF: directions (m, d), t (..., m) -> same shape as t, with
+    Phi from _phi (one _ndtr call per element)."""
     return _phi(_standardised(dist, directions, t))
 
 
@@ -275,8 +356,8 @@ def population_depth(dist: DistributionSpec, q) -> float:
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite coordinates")
     if dist.family == "standard_normal":
-        return float(_phi(-np.linalg.norm(q)))
-    return float(_phi(-np.linalg.norm(dist.reduction.to_reduced(q))))
+        return _ndtr(-float(np.linalg.norm(q)))
+    return _ndtr(-float(np.linalg.norm(dist.reduction.to_reduced(q))))
 
 
 def tail_probability_bound(dist: DistributionSpec, radius: float) -> float:

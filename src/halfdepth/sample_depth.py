@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import SphericalCover
-from .population import DistributionSpec, _phi, _standardised
+from .population import _TABLE_MARGIN, DistributionSpec, _ndtr, _phi_interpolated, _standardised
 
 # Boundary membership is decided up to TIE_RTOL * R_q, R_q = max_i |x_i - q|
 # the spread of the sample about the query, so that ties do not depend on
@@ -546,15 +546,30 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     direction j's KS terms at rank i are Phi(u_ij) - (i-1)/n and
     i/n - Phi(u_ij), and Phi is monotone, so the largest over j are
     Phi(max_j u_ij) - (i-1)/n and i/n - Phi(min_j u_ij). One sort of the
-    (n, m) projections, one row maximum and minimum and 2n values of Phi
-    give the maximum over all n*m terms. Only the cover's unmirrored
+    (n, m) projections and one row maximum and minimum give 2n terms whose
+    maximum is the maximum over all n*m. Only the cover's unmirrored
     centers are projected: a mirrored direction -c has projections -z_c,
     location -loc_c and the scale of c, so its rank i standardised value
     is -u at c's rank n + 1 - i, and its extremes at rank i are the
-    negated, reversed extremes of the mirrored half. scipy's ndtr is
-    monotone only up to its last ulp or two, so where two directions put
-    the same rank within a few ulps of each other, the result may differ
-    in its last bits from Phi evaluated at all n*m projections.
+    negated, reversed extremes of the mirrored half. Phi is _ndtr, Cephes'
+    ndtr, which is monotone only up to its last ulp or two, so where two
+    directions put the same rank within a few ulps of each other, the
+    result may differ in its last bits from Phi evaluated at all n*m
+    projections.
+
+    Phi is taken exactly only at the ranks that can attain the maximum.
+    Written as Phi(-y) - k/n, the D- term (n - k)/n - Phi(y) of rank n - k
+    shares its offset with the D+ term Phi(x) - k/n of rank k + 1, so the
+    larger of the two is Phi(max(x, -y)) - k/n, and
+    population._phi_interpolated, within margin = _TABLE_MARGIN of _ndtr,
+    scores it. Both exact terms of a pair are taken, with _ks_max's own
+    expressions, only where its score is at least the largest score less
+    2 margin. That gives the maximum over all 2n exact terms, bit for bit:
+    if E is the largest exact term and S its pair's score, every pair's
+    score S' satisfies S' <= E' + margin <= E + margin <= S + 2 margin,
+    E' being that pair's larger exact term, so E's pair is among those
+    taken. The mirrored half only adds extremes that lie between high and
+    low, so it moves no score, only the exact terms.
     """
     if sample.dim != dist.d:
         raise ValueError(f"sample has dimension {sample.dim}, distribution has {dist.d}")
@@ -572,7 +587,23 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     high, low = u.max(axis=1), u.min(axis=1)
     if h:
         top, bottom = (high, low) if h == u.shape[1] else (u[:, :h].max(axis=1), u[:, :h].min(axis=1))
-        high, low = np.maximum(high, -bottom[::-1]), np.minimum(low, -top[::-1])
+    # Score k is the pair of rank k + 1's D+ term and rank n - k's D- term.
     n = sample.n
-    f = _phi(np.concatenate((high, low)))
-    return _ks_max(f[:n], f[n:])
+    x = -low[::-1]
+    np.maximum(high, x, out=x)
+    scores = _phi_interpolated(x)
+    scores -= np.arange(n) / n
+    cut = scores.max() - 2.0 * _TABLE_MARGIN
+    if math.isnan(cut):
+        return math.nan  # a nan projection, as in _ks_max
+    terms = []
+    for k in np.flatnonzero(scores >= cut).tolist():
+        j = n - 1 - k
+        hi, lo = float(high[k]), float(low[j])
+        if h:
+            hi, lo = max(hi, -float(bottom[j])), min(lo, -float(top[k]))
+        i = k + 1.0
+        terms.append(_ndtr(hi) - (i - 1.0) / n)
+        i = j + 1.0
+        terms.append(i / n - _ndtr(lo))
+    return max(terms)

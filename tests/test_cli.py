@@ -1087,23 +1087,62 @@ for d in (2, 3):
         assert len(rows) == 4 * len(BOUND_KINDS)
 assert 'scipy' not in sys.modules, 'sweep'
 from halfdepth.population import elliptical_normal, population_depth, standard_normal
-from scipy.special import ndtr
-assert population_depth(standard_normal(2), [0.6, -0.8]) == ndtr(-1.0)
 dist = elliptical_normal([1.0, -1.0], [[4.0, 0.0], [0.0, 1.0]])
-assert population_depth(dist, [3.0, -1.0]) == ndtr(-1.0)
+depths = [population_depth(standard_normal(2), [0.6, -0.8]), population_depth(dist, [3.0, -1.0])]
+assert all(type(v) is float for v in depths)
+assert 'scipy' not in sys.modules, 'population depth'
+from scipy.special import ndtr
+assert depths == [ndtr(-1.0), ndtr(-1.0)]
 print('ok')
 """
 
 
 def test_bounds_and_cli_import_leave_scipy_out():
-    # Only the normal CDF and the subset-count oracle need scipy; the bound
-    # sweep over every kind must not load it.
+    # Only convex hulls need scipy (scipy.spatial, for the subset-count
+    # oracle and the check of a supplied cover); the bound sweep over every
+    # kind and the population depth must not load it.
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_BOUNDS],
         capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+_EXPERIMENTS_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+from halfdepth.cli import main
+from halfdepth.experiments import ExperimentConfig, run_deviation_experiment
+from halfdepth.geometry import build_cover
+from halfdepth.population import cdf_projected_many, elliptical_normal, standard_normal
+for d, psi in ((1, None), (2, 0.05), (3, 0.2), (4, 0.5)):
+    res = run_deviation_experiment(ExperimentConfig(
+        dist=standard_normal(d), n=40, eps=0.25, trials=3, seed=5, psi=psi,
+        kinds=('dkw', 'vc2', 'theorem') if d > 1 else ('dkw',),
+    ))
+    assert len(res.trials) == 3
+dist = elliptical_normal([1.0, 0.0, -1.0], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.5]])
+cover = build_cover(3, 0.2)
+assert cdf_projected_many(dist, cover.centers, np.zeros((4, 162))).shape == (4, 162)
+pts = ';'.join(','.join(str(v) for v in row) for row in np.random.default_rng(3).standard_normal((30, 3)))
+assert main(['depth', '--query', '0.1,0,0.2', '--sample', pts, '--psi', '0.2']) == 0
+assert main(['depth', '--query', '0.3,0.4']) == 0
+loaded = sorted(name for name in sys.modules if name.startswith('scipy'))
+assert not loaded, loaded
+print('ok')
+"""
+
+
+def test_experiments_and_depth_runs_leave_every_scipy_module_out():
+    # Phi is the package's own Cephes ndtr: an experiment in any d, the
+    # projected CDF, a certified and a population depth load no scipy.
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXPERIMENTS_WITHOUT_SCIPY],
+        capture_output=True, text=True, timeout=120, env=_SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "ok"
 
 
 def test_package_exports_resolve_once():

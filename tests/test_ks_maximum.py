@@ -1,7 +1,8 @@
 """sup_deviation's KS maximum from per-rank extremes against the plain formula.
 
 sup_deviation evaluates Phi only at each rank's largest and smallest
-standardised projection, and projects only the unmirrored half of a
+standardised projection, exactly only where the table's bracket says a
+term can attain the maximum, and projects only the unmirrored half of a
 mirrored cover. The reference here evaluates the projected CDF at every
 one of the n*m sorted projections, the -c columns built as exact
 negations of the c columns, and takes every column's KS statistic; the
@@ -12,10 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
+from halfdepth import population, sample_depth
 from halfdepth.experiments import draw_sample, split_seed
 from halfdepth.geometry import SphericalCover, build_cover
 from halfdepth.population import cdf_projected_many, elliptical_normal, standard_normal
@@ -113,20 +115,46 @@ def test_sup_deviation_equals_the_full_maximum_on_harness_samples(d, family):
         assert sup_deviation(sample, dist, cover) == reference(sample, dist, cover)
 
 
+def test_sup_deviation_takes_the_maximum_where_the_table_misorders_two_terms():
+    # Two points on the line. x2 is mid-cell, where the interpolant lies
+    # furthest below the concave Phi; x1 puts rank 2's D+ term a hair,
+    # half that gap, above rank 1's. The table scores rank 1's pair higher,
+    # so only the 2-margin window puts rank 2's pair among those taken.
+    step = population._TABLE_NODES[1] - population._TABLE_NODES[0]
+    x2 = 0.8671875
+    assert (x2 + 9.0) / step % 1.0 == 0.5
+    gap = ndtr(x2) - population._phi_interpolated(x2)
+    assert 0.5 * population._TABLE_MARGIN < gap < population._TABLE_MARGIN
+    x1 = float(ndtri(ndtr(x2) - 0.5 - 0.5 * gap))
+    dist = standard_normal(1)
+    sample = Sample(np.array([[x1], [x2]]))
+    assert population._phi_interpolated(x1) > population._phi_interpolated(x2) - 0.5
+    assert ndtr(x2) - 0.5 > ndtr(x1)
+    assert sup_deviation(sample, dist, None) == reference(sample, dist, None) == ndtr(x2) - 0.5
+
+
 def test_sup_deviation_evaluates_phi_at_few_projections(monkeypatch):
-    # The benchmark's d=2 case: n=300 against the 159 directions at psi=0.02.
-    # Phi is evaluated once, at each rank's largest and smallest projection.
-    dist = standard_normal(2)
-    cover = cover_for(2)
-    sample = draw_sample(dist, 300, np.random.default_rng(split_seed(4242, 0)))
-    want = reference(sample, dist, cover)
-    ndtr = scipy.special.ndtr
+    # The benchmark's cases: n=300 against the 159 directions at psi=0.02
+    # and the mirrored 162 at psi=0.2, and a large sample. Once the table
+    # exists, exact Phi is evaluated only at the few rank pairs (a D+ and a
+    # D- term each) whose table score is within twice its margin of the
+    # largest.
+    population._phi_table()
     evaluated = []
 
     def counting_ndtr(x):
-        evaluated.append(np.size(x))
-        return ndtr(x)
+        evaluated.append(x)
+        return population._ndtr(x)
 
-    monkeypatch.setattr(scipy.special, "ndtr", counting_ndtr)
-    assert sup_deviation(sample, dist, cover) == want
-    assert evaluated == [2 * sample.n]
+    for d, n in ((2, 300), (3, 300), (2, 10_000)):
+        dist = standard_normal(d)
+        cover = cover_for(d)
+        assert cover.mirror == {2: 0, 3: 81}[d]
+        sample = draw_sample(dist, n, np.random.default_rng(split_seed(4242, 0)))
+        want = reference(sample, dist, cover)
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sample_depth, "_ndtr", counting_ndtr)
+            assert sup_deviation(sample, dist, cover) == want
+        assert 2 <= len(evaluated) <= 8, (d, n)
+        assert all(type(x) is float for x in evaluated)
