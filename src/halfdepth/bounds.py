@@ -66,7 +66,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .geometry import _BOOLS, _libm, _number, log_covering_count, max_cover_radius
+from .geometry import _BOOLS, _libm, _number, _points, log_covering_count, max_cover_radius
 from .population import _SPEC_RANGES, SQRT_2PI, DistributionSpec
 
 # exp() clamp: beyond this the penalty is astronomically vacuous anyway,
@@ -265,9 +265,7 @@ def halfplane_subset_count(points) -> int:
     convex position (every point a hull vertex) so the exact r^2 - r + 2
     formula applies; intended as a small-n oracle.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must be an (n, 2) array, got shape {pts.shape}")
+    pts = _points("points", points, 2, rows=0)
     n = pts.shape[0]
     if n > 12:
         raise ValueError(f"subset enumeration is for small n (<= 12), got {n}")

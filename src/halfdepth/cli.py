@@ -47,12 +47,9 @@ _INLINE_CHARS = set("0123456789+-.eE, ;\t")
 
 def _parse_query(text: str) -> np.ndarray:
     try:
-        query = np.asarray([float(tok) for tok in text.split(",") if tok.strip()], dtype=float)
+        return np.asarray([float(tok) for tok in text.split(",") if tok.strip()], dtype=float)
     except ValueError:
         raise ValueError(f"cannot parse query {text!r} as comma-separated numbers") from None
-    if not np.isfinite(query).all():
-        raise ValueError(f"query {text!r} has a non-finite coordinate")
-    return query
 
 
 def _parse_sample_arg(text: str) -> Sample:
@@ -119,8 +116,6 @@ def cmd_depth(args) -> int:
             dist = DistributionSpec.from_dict(json.loads(Path(args.dist_file).read_text()))
         else:
             dist = standard_normal(query.shape[0])
-        if query.shape[0] != dist.d:
-            raise ValueError(f"query has dimension {query.shape[0]}, distribution has {dist.d}")
         _emit({"value": population_depth(dist, query)}, args.out)
         return 0
     if query.shape[0] != sample.dim:
@@ -252,35 +247,31 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_cmd == "subsets":
-        if args.regular_ngon is not None:
-            points = regular_polygon(args.regular_ngon)
-            count = halfplane_subset_count(points)
-            _emit(
-                {"count": count, "n": args.regular_ngon,
-                 "convex_position_formula": shatter_exact_2d(args.regular_ngon)},
-                args.out,
-            )
-        else:
-            sample = _parse_sample_arg(args.sample)
-            count = halfplane_subset_count(sample.points)
-            _emit({"count": count, "n": sample.n}, args.out)
-        return 0
-    if args.oracle_cmd == "verify-cover":
-        if args.seed is None:
-            raise ValueError("cover verification consumes randomness; pass an explicit --seed")
-        cover = _load_cover(args.file)
-        check = verify_cover(cover, args.trials, rng=np.random.default_rng(split_seed(args.seed, 0)))
-        _emit(check.to_dict(), args.out)
-        return 0 if check.passed else 2
-    if args.oracle_cmd == "brute":
+def cmd_subsets(args) -> int:
+    if args.regular_ngon is not None:
+        count = halfplane_subset_count(regular_polygon(args.regular_ngon))
+        formula = shatter_exact_2d(args.regular_ngon)
+        payload = {"count": count, "n": args.regular_ngon, "convex_position_formula": formula}
+    else:
         sample = _parse_sample_arg(args.sample)
-        query = _parse_query(args.query)
-        result = depth_brute(query, sample)
-        _emit(result.to_dict(), args.out)
-        return 0
-    raise ValueError(f"unknown oracle command {args.oracle_cmd!r}")
+        payload = {"count": halfplane_subset_count(sample.points), "n": sample.n}
+    _emit(payload, args.out)
+    return 0
+
+
+def cmd_verify_cover(args) -> int:
+    if args.seed is None:
+        raise ValueError("cover verification consumes randomness; pass an explicit --seed")
+    cover = _load_cover(args.file)
+    check = verify_cover(cover, args.trials, rng=np.random.default_rng(split_seed(args.seed, 0)))
+    _emit(check.to_dict(), args.out)
+    return 0 if check.passed else 2
+
+
+def cmd_brute(args) -> int:
+    sample = _parse_sample_arg(args.sample)
+    _emit(depth_brute(_parse_query(args.query), sample).to_dict(), args.out)
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -361,20 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     subsets_input.add_argument("--regular-ngon", type=int)
     subsets_input.add_argument("--sample")
     p_subsets.add_argument("--out")
-    p_subsets.set_defaults(func=cmd_oracle)
+    p_subsets.set_defaults(func=cmd_subsets)
 
     p_verify = oracle_sub.add_parser("verify-cover", help="verify a cover file (exact hull radius for d <= 4)")
     p_verify.add_argument("--file", required=True)
     p_verify.add_argument("--trials", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_oracle)
+    p_verify.set_defaults(func=cmd_verify_cover)
 
     p_brute = oracle_sub.add_parser("brute", help="brute-force depth of a query")
     p_brute.add_argument("--sample", required=True)
     p_brute.add_argument("--query", required=True)
     p_brute.add_argument("--out")
-    p_brute.set_defaults(func=cmd_oracle)
+    p_brute.set_defaults(func=cmd_brute)
 
     return parser
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BOUND_KINDS, BOUND_TABLE, BoundParams, BoundReport, evaluate_bound, improvement_factor
-from .geometry import _number, build_cover
+from .geometry import _number, _points, build_cover
 from .population import DistributionSpec, population_depth
 from .sample_depth import Sample, _query_radii, depth_1d, depth_certified, depth_exact_2d_many, sup_deviation
 
@@ -94,17 +94,11 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown bound kinds {unknown}; expected ones of {BOUND_KINDS}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        if not (isinstance(self.queries, str) and self.queries == "auto"):
-            try:
-                pts = np.asarray(self.queries, dtype=float)
-            except (TypeError, ValueError):
-                pts = np.empty(0)
-            if pts.ndim != 2 or not len(pts):
+        if isinstance(self.queries, str):
+            if self.queries != "auto":
                 raise ValueError(f'queries must be "auto" or a nonempty list of points, got {self.queries!r}')
-            if pts.shape[1] != self.dist.d:
-                raise ValueError(f"every query must have dimension {self.dist.d}")
-            if not np.isfinite(pts).all():
-                raise ValueError("every query must have finite coordinates")
+        else:
+            pts = _points("queries", self.queries, self.dist.d)
             object.__setattr__(self, "queries", tuple(map(tuple, pts.tolist())))
 
     def bound_params(self) -> BoundParams:

@@ -61,6 +61,29 @@ def _number(name: str, value, integer: bool = False, within: str | None = None):
     return number
 
 
+def _points(name: str, value, width: int | None = None, rows: int = 1) -> np.ndarray:
+    """value as a 2-d float array of points: at least rows rows, width
+    columns when given (else at least one), every entry finite. Anything
+    else raises a ValueError that names the array, the coordinate count
+    expected and what was given. A float array comes back as it is, not
+    copied."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 2 or len(arr) < rows or not arr.shape[1]:
+        given = repr(value) if arr is None else f"shape {arr.shape}"
+        cols = "d >= 1" if width is None else width
+        raise ValueError(f"{name} must be an (n, {cols}) array of numbers with n >= {rows}, got {given}")
+    if width is not None and arr.shape[1] != width:
+        raise ValueError(f"{name} has {arr.shape[1]} coordinates, expected {width}")
+    if not np.isfinite(arr).all():
+        row = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        at = f" in row {row}" if len(arr) > 1 else ""
+        raise ValueError(f"{name} has a non-finite coordinate{at}: {arr[row].tolist()}")
+    return arr
+
+
 # Dot products of unit vectors can land just outside [-1, 1] after
 # floating-point rounding; clamp before arccos.
 def _safe_arccos(x):
@@ -78,9 +101,10 @@ def max_cover_radius(d: int) -> float:
 class SphericalCover:
     """A finite set of directions meant to cover S^(d-1) at cap radius psi.
 
-    The constructor only validates shapes, unit norms, and the admissible
-    psi range. Covers from ``build_cover`` cover by construction, proven
-    in closed form in every dimension, with no hull computed. A cover from
+    The constructor only checks the centers (``_points``: a nonempty,
+    finite (m, d) array), their unit norms and the admissible psi range.
+    Covers from ``build_cover`` cover by construction, proven in closed
+    form in every dimension, with no hull computed. A cover from
     elsewhere is checked by ``verify_cover``: exactly from the convex hull
     of the centers (``cover_radius``) for d <= 4, statistically by sampled
     directions above that.
@@ -99,9 +123,7 @@ class SphericalCover:
     mirror: int = field(default=0, init=False)
 
     def __post_init__(self):
-        arr = np.array(self.centers, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("centers must be a nonempty (m, d) array")
+        arr = _points("centers", self.centers).copy()
         d = arr.shape[1]
         psi = _number("psi", self.psi)
         if not (0.0 < psi < max_cover_radius(d)):
@@ -144,12 +166,10 @@ class SphericalCover:
         for key in ("centers", "psi"):
             if key not in data:
                 raise ValueError(f"cover dictionary needs {key}")
-        centers = np.asarray(data["centers"], dtype=float)
-        if "d" in data and centers.ndim == 2 and centers.shape[1] != data["d"]:
-            raise ValueError(
-                f"cover dictionary says d={data['d']} but centers have {centers.shape[1]} coordinates"
-            )
-        return cls(centers, data["psi"])
+        cover = cls(data["centers"], data["psi"])
+        if "d" in data and cover.d != data["d"]:
+            raise ValueError(f"cover dictionary says d={data['d']} but centers have {cover.d} coordinates")
+        return cover
 
 
 @dataclass(frozen=True)
@@ -248,8 +268,8 @@ def cover_radius(centers) -> float:
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    arr = np.asarray(centers, dtype=float)
-    if arr.ndim != 2 or not 2 <= arr.shape[1] <= _EXACT_RADIUS_MAX_D:
+    arr = _points("centers", centers, rows=0)
+    if not 2 <= arr.shape[1] <= _EXACT_RADIUS_MAX_D:
         raise ValueError(f"exact covering radius needs (m, d) centers with 2 <= d <= {_EXACT_RADIUS_MAX_D}")
     try:
         offsets = -ConvexHull(arr).equations[:, -1]

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import _libm, _number
+from .geometry import _libm, _number, _points
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -120,7 +120,8 @@ class DistributionSpec:
     """A population the harness can sample from and score against.
 
     family is "standard_normal" or "elliptical_normal". mu and sigma are
-    carried as nested tuples so the value is hashable and immutable; use
+    checked by _law and carried as nested tuples of floats, sigma made
+    exactly symmetric, so the value is hashable and immutable; use
     ``mu_array`` / ``sigma_array`` for numerics. lam, c1 bound the radial
     tail by c1 * R^(3d-5) * exp(-lam R^2 / 2); lpi bounds every projected
     density; ltheta bounds the change of the projected CDF per radian of
@@ -141,10 +142,9 @@ class DistributionSpec:
             raise ValueError(f"unknown family {self.family!r}")
         for name, within in _SPEC_RANGES.items():
             object.__setattr__(self, name, _number(name, getattr(self, name), name == "d", within))
-        if len(self.mu) != self.d:
-            raise ValueError(f"mu has {len(self.mu)} coordinates, expected {self.d}")
-        if len(self.sigma) != self.d or any(len(row) != self.d for row in self.sigma):
-            raise ValueError(f"sigma must be {self.d}x{self.d}")
+        mu, sigma, _ = _law(self.mu, self.sigma, self.d)
+        object.__setattr__(self, "mu", tuple(mu.tolist()))
+        object.__setattr__(self, "sigma", tuple(map(tuple, sigma.tolist())))
 
     @property
     def mu_array(self) -> np.ndarray:
@@ -206,15 +206,27 @@ def standard_normal(d: int) -> DistributionSpec:
     )
 
 
-def _validated_covariance(sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {sigma.shape}")
+def _law(mu, sigma, d: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one check of a law's mean and covariance: mu, a finite vector of
+    d coordinates (of its own length when d is None), and sigma, a finite
+    d x d covariance, symmetric within _SYMMETRY_RTOL of its largest entry
+    (or of 1) and positive definite. Returns mu, sigma made exactly
+    symmetric, and its eigenvalues in ascending order; anything else raises
+    a ValueError that names mu or sigma."""
+    mu = _points("mu", np.reshape(mu, (1, -1)), d)[0]
+    d = mu.size
+    sigma = _points("sigma", sigma, d)
+    if len(sigma) != d:
+        raise ValueError(f"sigma must be {d}x{d}, got shape {sigma.shape}")
     scale = max(1.0, float(np.abs(sigma).max()))
     asym = float(np.abs(sigma - sigma.T).max())
     if asym > _SYMMETRY_RTOL * scale:
-        raise ValueError(f"covariance is not symmetric: max asymmetry {asym}")
-    return 0.5 * (sigma + sigma.T)
+        raise ValueError(f"sigma is not symmetric: max asymmetry {asym}")
+    sigma = 0.5 * (sigma + sigma.T)
+    eigvals = np.linalg.eigvalsh(sigma)
+    if not eigvals[0] > 0:
+        raise ValueError(f"sigma is not positive definite: eigenvalue {float(eigvals[0])}")
+    return mu, sigma, eigvals
 
 
 def elliptical_normal(
@@ -234,13 +246,7 @@ def elliptical_normal(
     (|mu| + (eig_max - eig_min)/(sqrt(e) * sigma_min)) / (sqrt(2 pi) * sigma_min).
     These are valid but not tight; pass explicit values to override.
     """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    sigma = _validated_covariance(sigma)
-    if sigma.shape[0] != mu.shape[0]:
-        raise ValueError(f"mu has dimension {mu.shape[0]} but sigma is {sigma.shape[0]}x{sigma.shape[0]}")
-    eigvals = np.linalg.eigvalsh(sigma)
-    if eigvals[0] <= 0:
-        raise ValueError(f"covariance is not positive definite: eigenvalue {eigvals[0]}")
+    mu, sigma, eigvals = _law(mu, sigma)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
     sigma_min = math.sqrt(eig_min)
     if lam is None:
@@ -254,9 +260,9 @@ def elliptical_normal(
         )
     return DistributionSpec(
         family="elliptical_normal",
-        d=mu.shape[0],
-        mu=tuple(mu),
-        sigma=tuple(tuple(row) for row in sigma),
+        d=mu.size,
+        mu=mu,
+        sigma=sigma,
         lam=lam,
         c1=c1,
         lpi=lpi,
@@ -294,13 +300,8 @@ def affine_reduce(sigma, mu) -> AffineReduction:
     is fixed so that its first component of nontrivial magnitude is
     positive, making the reduction reproducible across runs.
     """
-    sigma = _validated_covariance(sigma)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if sigma.shape[0] != mu.shape[0]:
-        raise ValueError(f"mu has dimension {mu.shape[0]} but sigma is {sigma.shape[0]}x{sigma.shape[0]}")
+    mu, sigma, _ = _law(mu, sigma)
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    if eigvals[0] <= 0:
-        raise ValueError(f"covariance is not positive definite: eigenvalue {float(eigvals[0])}")
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
@@ -350,11 +351,7 @@ def population_depth(dist: DistributionSpec, q) -> float:
     whitened image of q; depth is affine invariant, so the reduction is
     exact, not an approximation.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != dist.d:
-        raise ValueError(f"query has dimension {q.shape[0]}, distribution has {dist.d}")
-    if not np.isfinite(q).all():
-        raise ValueError("query contains non-finite coordinates")
+    q = _points("query", np.reshape(q, (1, -1)), dist.d)[0]
     if dist.family == "standard_normal":
         return _ndtr(-float(np.linalg.norm(q)))
     return _ndtr(-float(np.linalg.norm(dist.reduction.to_reduced(q))))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import SphericalCover
+from .geometry import SphericalCover, _points
 from .population import _TABLE_MARGIN, DistributionSpec, _ndtr, _phi_interpolated, _standardised
 
 # Boundary membership is decided up to TIE_RTOL * R_q, R_q = max_i |x_i - q|
@@ -79,7 +79,8 @@ class DepthInterval:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """An immutable (n, d) array of sample points.
+    """An immutable (n, d) array of sample points: geometry._points checks
+    it (nonempty, finite), and a 1-d array is n points of one coordinate.
 
     A sample keeps its projection onto the last cover its certified depth
     was taken over (see _projection), so the queries of a trial share one
@@ -90,13 +91,8 @@ class Sample:
     _kept: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"sample must be a nonempty (n, d) array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("sample contains non-finite coordinates")
+        points = self.points
+        arr = _points("sample", np.reshape(points, (-1, 1)) if np.ndim(points) == 1 else points).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
@@ -205,11 +201,6 @@ def _query_radii(queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.sqrt(total.max(axis=1))
 
 
-def _check_finite(queries: np.ndarray) -> None:
-    if not np.isfinite(queries).all():
-        raise ValueError("query contains non-finite coordinates")
-
-
 def depth_1d(q: float, sample: Sample) -> DepthValue:
     """Depth on the line: the smaller of the closed left and right counts."""
     if sample.dim != 1:
@@ -217,7 +208,7 @@ def depth_1d(q: float, sample: Sample) -> DepthValue:
     x = sample.points[:, 0]
     q = float(q)
     if not math.isfinite(q):
-        raise ValueError("query contains non-finite coordinates")
+        raise ValueError(f"query has a non-finite coordinate: {[q]}")
     tol = TIE_RTOL * float(np.abs(x - q).max())
     left = int(np.count_nonzero(x <= q + tol))
     right = int(np.count_nonzero(x >= q - tol))
@@ -291,10 +282,7 @@ def depth_exact_2d_many(queries, sample: Sample) -> np.ndarray:
     _planar_depth_counts for the method and the tie rule."""
     if sample.dim != 2:
         raise ValueError(f"depth_exact_2d requires a 2-dimensional sample, got d={sample.dim}")
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != 2:
-        raise ValueError(f"queries must be a (Q, 2) array, got shape {queries.shape}")
-    _check_finite(queries)
+    queries = _points("queries", queries, 2, rows=0)
     return _planar_depth_counts(sample.points[:, 0] - queries[:, :1], sample.points[:, 1] - queries[:, 1:])
 
 
@@ -371,10 +359,7 @@ def depth_brute(q, sample: Sample) -> DepthValue:
     both closed sides of every candidate yields the exact minimum. Meant
     for small n as an oracle; cost grows like n^(d-1).
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != sample.dim:
-        raise ValueError(f"query has dimension {q.shape[0]}, sample has {sample.dim}")
-    _check_finite(q)
+    q = _points("query", np.reshape(q, (1, -1)), sample.dim)[0]
     if sample.dim == 1:
         return depth_1d(q[0], sample)
     y = sample.points - q
@@ -477,13 +462,9 @@ def depth_certified_many(
     queries, from one call of the certified kernel (_certified_counts):
     lower and upper are intp arrays and radius a float array, one entry per
     query. A row's entries do not depend on the other rows of the block."""
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != sample.dim or cover.d != sample.dim:
-        raise ValueError(
-            f"dimension mismatch: sample d={sample.dim}, queries {queries.shape}, cover {cover.d}"
-        )
-    _check_finite(queries)
-    return _certified_counts(queries, sample, cover)
+    if cover.d != sample.dim:
+        raise ValueError(f"cover has dimension {cover.d}, sample has {sample.dim}")
+    return _certified_counts(_points("queries", queries, sample.dim, rows=0), sample, cover)
 
 
 def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
@@ -502,7 +483,7 @@ def depth_certified(q, sample: Sample, cover: SphericalCover) -> DepthInterval:
     thread a call of any size makes one search of all 2Qm thresholds,
     O(Qm log(mn)), which lets other threads run.
     """
-    lower, upper, radius = depth_certified_many(np.asarray(q, dtype=float).reshape(1, -1), sample, cover)
+    lower, upper, radius = depth_certified_many(np.reshape(q, (1, -1)), sample, cover)
     n = sample.n
     return DepthInterval(lower=lower.item() / n, upper=upper.item() / n, psi=cover.psi, radius=radius.item())
 
@@ -551,11 +532,11 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     centers are projected: a mirrored direction -c has projections -z_c,
     location -loc_c and the scale of c, so its rank i standardised value
     is -u at c's rank n + 1 - i, and its extremes at rank i are the
-    negated, reversed extremes of the mirrored half. Phi is _ndtr, Cephes'
-    ndtr, which is monotone only up to its last ulp or two, so where two
-    directions put the same rank within a few ulps of each other, the
-    result may differ in its last bits from Phi evaluated at all n*m
-    projections.
+    negated, reversed extremes of the mirrored half, folded into each
+    rank's extremes once. Phi is _ndtr, Cephes' ndtr, which is monotone
+    only up to its last ulp or two, so where two directions put the same
+    rank within a few ulps of each other, the result may differ in its
+    last bits from Phi evaluated at all n*m projections.
 
     Phi is taken exactly only at the ranks that can attain the maximum.
     Written as Phi(-y) - k/n, the D- term (n - k)/n - Phi(y) of rank n - k
@@ -568,8 +549,9 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     if E is the largest exact term and S its pair's score, every pair's
     score S' satisfies S' <= E' + margin <= E + margin <= S + 2 margin,
     E' being that pair's larger exact term, so E's pair is among those
-    taken. The mirrored half only adds extremes that lie between high and
-    low, so it moves no score, only the exact terms.
+    taken. Folding in the mirrored half moves no score, only the exact
+    terms: pair k gains -bottom at rank n - k, at most -low there, and top
+    at rank k + 1, at most high there.
     """
     if sample.dim != dist.d:
         raise ValueError(f"sample has dimension {sample.dim}, distribution has {dist.d}")
@@ -587,6 +569,7 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     high, low = u.max(axis=1), u.min(axis=1)
     if h:
         top, bottom = (high, low) if h == u.shape[1] else (u[:, :h].max(axis=1), u[:, :h].min(axis=1))
+        high, low = np.maximum(high, -bottom[::-1]), np.minimum(low, -top[::-1])
     # Score k is the pair of rank k + 1's D+ term and rank n - k's D- term.
     n = sample.n
     x = -low[::-1]
@@ -599,11 +582,6 @@ def sup_deviation(sample: Sample, dist: DistributionSpec, cover: SphericalCover 
     terms = []
     for k in np.flatnonzero(scores >= cut).tolist():
         j = n - 1 - k
-        hi, lo = float(high[k]), float(low[j])
-        if h:
-            hi, lo = max(hi, -float(bottom[j])), min(lo, -float(top[k]))
-        i = k + 1.0
-        terms.append(_ndtr(hi) - (i - 1.0) / n)
-        i = j + 1.0
-        terms.append(i / n - _ndtr(lo))
+        terms.append(_ndtr(float(high[k])) - k / n)
+        terms.append((j + 1.0) / n - _ndtr(float(low[j])))
     return max(terms)

@@ -363,6 +363,36 @@ def test_depth_rejects_non_finite_query(capsys, tmp_path, method, sample, query)
     assert err.count("\n") == 1 and err.startswith("error:") and "non-finite" in err
 
 
+_INFINITE_MEAN = {"family": "elliptical_normal", "d": 2, "mu": [math.inf, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def test_depth_and_experiment_refuse_an_infinite_mean_by_name(capsys, tmp_path):
+    # json writes the infinity as Infinity, which json.loads reads back.
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(_INFINITE_MEAN))
+    message = "error: mu has a non-finite coordinate: [inf, 0.0]\n"
+    code, out, err = run_cli(capsys, "depth", "--query", "0,0", "--dist-file", str(path))
+    assert (code, out, err) == (1, "", message)
+    code, out, err = run_cli(
+        capsys, "experiment", "--dist-file", str(path), "--n", "20", "--eps", "0.3", "--trials", "2",
+        "--seed", "1", "--out-dir", str(tmp_path / "exp"),
+    )
+    assert (code, out, err) == (1, "", message)
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("d, psi", [(3, 0.5), (5, 0.9)])
+def test_verify_cover_refuses_a_nan_center(capsys, tmp_path, d, psi):
+    # In d=5 the check is sampled, and a NaN row never wins its nearest-center search.
+    data = build_cover(d, psi).to_dict()
+    data["centers"][2][1] = math.nan
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "oracle", "verify-cover", "--file", str(path), "--seed", "1", "--trials", "500")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: centers has a non-finite coordinate in row 2: ") and err.count("\n") == 1
+
+
 def test_depth_out_file(capsys, tmp_path):
     target = tmp_path / "depth.json"
     code, out, _ = run_cli(
@@ -632,6 +662,20 @@ def test_experiment_config_file(capsys, tmp_path):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["config"]["seed"] == 17
+
+
+def test_experiment_dist_file_matches_the_library_run(capsys, tmp_path):
+    dist = elliptical_normal([0.5, -1.0], [[2.0, 0.6], [0.6, 1.0]])
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist.to_dict()))
+    code, _, err = run_cli(
+        capsys, "experiment", "--dist-file", str(path), "--n", "40", "--eps", "0.3", "--trials", "6",
+        "--seed", "9", "--psi", "0.2", "--kinds", "dkw,vc2", "--out-dir", str(tmp_path / "cli"),
+    )
+    assert code == 0, err
+    cfg = ExperimentConfig(dist=dist, n=40, eps=0.3, trials=6, seed=9, psi=0.2, kinds=("dkw", "vc2"))
+    paths = expmod.write_outputs(run_deviation_experiment(cfg), tmp_path / "lib")
+    assert (tmp_path / "cli" / "summary.json").read_bytes() == paths["summary"].read_bytes()
 
 
 def _digests(out_dir):

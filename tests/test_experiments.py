@@ -105,6 +105,27 @@ def test_config_explicit_queries_round_trip():
     assert back.queries == ((0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "dist, psi",
+    [(standard_normal(2), 0.2), (elliptical_normal([0.5, 0.0, -1.0], np.diag([2.0, 1.0, 0.5]) + 0.1), 0.4)],
+    ids=["d2", "d3"],
+)
+def test_explicit_queries_score_as_the_same_auto_queries(dist, psi):
+    # A query's error depends on the query and the trial's sample only, so
+    # the first k auto queries, given as a list, score bit for bit as they
+    # do in the auto run.
+    base = ExperimentConfig(dist=dist, n=40, eps=0.3, trials=4, seed=21, psi=psi)
+    auto = run_deviation_experiment(base)
+    k = 7
+    chosen = run_deviation_experiment(replace(base, queries=auto_queries(dist)[:k].tolist()))
+    assert chosen.queries == auto.queries[:k]
+    assert chosen.population_depths == auto.population_depths[:k]
+    for got, want in zip(chosen.trials, auto.trials, strict=True):
+        assert got.sup_deviation == want.sup_deviation
+        assert got.query_errors == want.query_errors[:k]
+        assert got.interval_widths == want.interval_widths[:k]
+
+
 def test_config_validation():
     dist = standard_normal(2)
     with pytest.raises(ValueError):
